@@ -90,84 +90,3 @@ from .synth import (
 from .bench import BenchResult, dataset_stats, format_table, run_bench, write_bench_csv
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EMPTY_SUFFIX",
-    "Element",
-    "Item",
-    "ItemDictionary",
-    "Sequence",
-    "SequenceDatabase",
-    "Suffix",
-    "canonicalize",
-    "concat",
-    "contains_subsequence",
-    "is_prefix",
-    "render_elements",
-    "suffix",
-    "CapacityExceededError",
-    "EmptyElementError",
-    "FormatError",
-    "InvalidConfigError",
-    "MinerMismatchError",
-    "SeqmineError",
-    "UndefinedConfidenceError",
-    "UnknownLabelError",
-    "Extension",
-    "I_EXTENSION",
-    "MinerConfig",
-    "Pattern",
-    "PatternSet",
-    "ProjectedDatabase",
-    "ProjectionEntry",
-    "S_EXTENSION",
-    "frequent_extensions",
-    "frequent_items",
-    "mine",
-    "project",
-    "projection_table",
-    "VerticalBitmapIndex",
-    "build_bitmaps",
-    "i_step",
-    "mine_spam",
-    "s_step",
-    "RuleRow",
-    "build_report",
-    "count_minimal_occurrences",
-    "pattern_frequency",
-    "pattern_support",
-    "rule_confidence",
-    "write_report_csv",
-    "write_report_jsonl",
-    "ActivityMap",
-    "ActivityRule",
-    "CheckIn",
-    "DEFAULT_WINDOWS",
-    "ParseResult",
-    "PipelineResult",
-    "TagResult",
-    "TouristSequence",
-    "WindowSpec",
-    "apply_activity_map",
-    "build_sequences",
-    "build_tourist_sequences",
-    "default_config",
-    "group_by_user",
-    "load_config",
-    "parse_checkins",
-    "parse_config",
-    "resolve_timezone",
-    "run_pipeline",
-    "segment_windows",
-    "GeneratorConfig",
-    "SINGAPORE_SHAPE",
-    "bms_shape",
-    "generate_synthetic",
-    "serialize_checkins",
-    "BenchResult",
-    "dataset_stats",
-    "format_table",
-    "run_bench",
-    "write_bench_csv",
-    "__version__",
-]

@@ -1,8 +1,9 @@
 """Benchmark harness: run both miners over support levels on one database.
 
 Runtimes are recorded, never judged: which miner wins depends on hardware
-and data shape.  Pattern counts, however, must agree at every support level;
-a mismatch means a correctness bug and is raised as a hard error.
+and data shape.  The full pattern sets, supports included, must agree at
+every support level; a mismatch means a correctness bug and is raised as a
+hard error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .errors import InvalidConfigError, MinerMismatchError
 from .prefixspan import MinerConfig, PatternSet, mine
 from .spam import mine_spam
 
-MINERS: dict[str, Callable[..., PatternSet]] = {
+#: The miner registry, shared by the bench harness and ``seqmine mine``.
+MINERS: dict[str, Callable[[SequenceDatabase, MinerConfig], PatternSet]] = {
     "prefixspan": mine,
     "spam": mine_spam,
 }
@@ -59,13 +61,11 @@ def run_bench(
     supports: SequenceABC[int | float],
     repeats: int = 3,
     miners: Iterable[str] = ("prefixspan", "spam"),
-    workers: int | None = None,
 ) -> list[BenchResult]:
     """Median wall time and pattern count per (miner, support).
 
-    Passing ``workers`` fans the miners out over top-level items; the
-    resulting times measure throughput, not single-thread latency, so keep
-    it off when comparing miners.
+    Raises ``MinerMismatchError`` when the miners' pattern sets differ in any
+    pattern or support.
     """
     miner_names = list(miners)
     if repeats < 1:
@@ -80,17 +80,15 @@ def run_bench(
     for support in supports:
         cfg = MinerConfig(min_support=support)
         min_count = cfg.resolve_min_count(n)
-        counts: dict[str, int] = {}
+        found: dict[str, dict] = {}
         for name in miner_names:
             fn = MINERS[name]
             times = []
-            count = 0
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                patterns = fn(db, cfg, workers=workers)
+                patterns = fn(db, cfg)
                 times.append(time.perf_counter() - t0)
-                count = len(patterns)
-            counts[name] = count
+            found[name] = patterns.as_dict()
             results.append(
                 BenchResult(
                     miner=name,
@@ -101,13 +99,16 @@ def run_bench(
                     min_count=min_count,
                     wall_time_s=statistics.median(times),
                     peak_rss_kb=_peak_rss_kb(),
-                    pattern_count=count,
+                    pattern_count=len(patterns),
                 )
             )
-        if len(set(counts.values())) > 1:
-            raise MinerMismatchError(
-                f"pattern counts disagree at support {support}: {counts}"
-            )
+        for previous, name in zip(miner_names, miner_names[1:]):
+            if found[name] != found[previous]:
+                differing = len(found[name].items() ^ found[previous].items())
+                raise MinerMismatchError(
+                    f"{name} and {previous} disagree on {differing} "
+                    f"(pattern, support) pairs at support {support}"
+                )
     return results
 
 

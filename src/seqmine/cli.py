@@ -2,8 +2,10 @@
 
 Subcommands: ``mine`` (check-ins file -> pattern and report CSVs),
 ``generate`` (deterministic synthetic check-ins), ``bench`` (both miners
-across support levels).  Exit codes: 0 success, 2 configuration error,
-3 input error, 4 miner disagreement in bench.
+across support levels).  Exit codes: 0 success, 2 configuration or usage
+error, 4 miner disagreement in bench, 3 input error or any other library
+error (such as a sequence too long for the bitmap miner), always reported as
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import format_table, run_bench, write_bench_csv
+from .bench import MINERS, format_table, run_bench, write_bench_csv
 from .checkins import (
     DEFAULT_WINDOWS,
     default_config,
@@ -21,18 +23,15 @@ from .checkins import (
     resolve_timezone,
     run_pipeline,
 )
-from .errors import FormatError, InvalidConfigError, MinerMismatchError
-from .prefixspan import MinerConfig, mine
+from .errors import FormatError, InvalidConfigError, MinerMismatchError, SeqmineError
+from .prefixspan import MinerConfig
 from .rules import VALID_SORT_KEYS, build_report, write_report_csv, write_report_jsonl
-from .spam import mine_spam
 from .synth import GeneratorConfig, bms_shape, generate_synthetic, serialize_checkins
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_MISMATCH = 4
-
-_MINERS = {"prefixspan": mine, "spam": mine_spam}
 
 
 def _min_support(text: str) -> int | float:
@@ -116,7 +115,7 @@ def cmd_mine(args) -> int:
     )
     db = result.database
     cfg = MinerConfig(min_support=args.min_support, max_length=args.max_length)
-    patterns = _MINERS[args.miner](db, cfg)
+    patterns = MINERS[args.miner](db, cfg)
     report = build_report(
         patterns, db, top_k=args.top_k, sort_key=args.sort
     )
@@ -175,12 +174,7 @@ def cmd_bench(args) -> int:
     amap, _ = default_config()
     result = run_pipeline(checkins, amap, grouping="trip")
     db = result.database
-    results = run_bench(
-        db,
-        args.supports,
-        repeats=args.repeats,
-        workers=(4 if args.parallel else None),
-    )
+    results = run_bench(db, args.supports, repeats=args.repeats)
     print(format_table(results))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
@@ -211,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--tz", default="+08:00",
                         help="timezone for window assignment (default +08:00)")
     p_mine.add_argument("--grouping", choices=("window", "trip"), default="window")
-    p_mine.add_argument("--miner", choices=sorted(_MINERS), default="prefixspan")
+    p_mine.add_argument("--miner", choices=sorted(MINERS), default="prefixspan")
     p_mine.add_argument("--top-k", type=int, default=None,
                         help="truncate the report to the top K rows")
     p_mine.add_argument("--sort", choices=VALID_SORT_KEYS, default="frequency")
@@ -237,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated counts or fractions")
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="fan miners out over threads (throughput mode)")
     p_bench.add_argument("--out", default=None, help="results CSV path")
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -258,10 +250,7 @@ def main(argv=None) -> int:
     except MinerMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (SeqmineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

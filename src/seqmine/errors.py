@@ -30,4 +30,4 @@ class FormatError(SeqmineError, ValueError):
 
 
 class MinerMismatchError(SeqmineError, RuntimeError):
-    """The two miners returned different pattern counts on the same input."""
+    """The two miners returned different pattern sets or supports on the same input."""

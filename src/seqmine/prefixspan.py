@@ -14,7 +14,6 @@ import csv
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Collection, Iterator, NamedTuple
 
@@ -146,14 +145,22 @@ class PatternSet:
 
 @dataclass(frozen=True)
 class ProjectedDatabase:
-    """Pseudo-projection of a database with respect to a prefix."""
+    """Pseudo-projection of a database with respect to a prefix.
+
+    The scan engine is built once by :meth:`root` and carried forward by
+    :func:`project`, so every projection of one database shares it.
+    """
 
     prefix: Sequence
     entries: tuple[ProjectionEntry, ...]
-    base: SequenceDatabase = field(repr=False)
+    engine: _Engine = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def base(self) -> SequenceDatabase:
+        return self.engine.db
 
     @classmethod
     def root(cls, db: SequenceDatabase) -> "ProjectedDatabase":
@@ -162,7 +169,7 @@ class ProjectedDatabase:
             for i, s in enumerate(db.sequences)
             if s.elements
         )
-        return cls(Sequence(), entries, db)
+        return cls(Sequence(), entries, _Engine(db))
 
     def suffixes(self, include: Collection[int] | None = None) -> list[Suffix]:
         """Materialize entry suffixes, optionally restricted to `include` items.
@@ -309,7 +316,7 @@ def _dfs(
         return
     if not entries:
         return
-    last = prefix[-1]
+    last = prefix[-1] if prefix else ()  # the root has no I-extensions
     s_counts, i_counts = engine.count_extensions(entries, last)
     # S-extensions sort before I-extensions in the canonical order, and both
     # ascend by item id, so plain DFS emits patterns already sorted.
@@ -350,9 +357,8 @@ def frequent_extensions(
     pdb: ProjectedDatabase, min_count: int
 ) -> list[Extension]:
     """Frequent S- and I-extensions of pdb's prefix (S first, ids ascending)."""
-    engine = _Engine(pdb.base)
     last = pdb.prefix.elements[-1] if pdb.prefix else ()
-    s_counts, i_counts = engine.count_extensions(pdb.entries, last)
+    s_counts, i_counts = pdb.engine.count_extensions(pdb.entries, last)
     dictionary = pdb.base.dictionary
     exts = [
         Extension(Item(i, dictionary.decode(i)), S_EXTENSION, s_counts[i])
@@ -381,9 +387,8 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
         new_elems = pdb.prefix.elements + ((ext.item.id,),)
     else:
         raise ValueError(f"unknown extension kind: {ext.kind!r}")
-    engine = _Engine(pdb.base)
-    entries = engine.project_entries(pdb.entries, ext.kind, ext.item.id, last)
-    return ProjectedDatabase(Sequence(new_elems), entries, pdb.base)
+    entries = pdb.engine.project_entries(pdb.entries, ext.kind, ext.item.id, last)
+    return ProjectedDatabase(Sequence(new_elems), entries, pdb.engine)
 
 
 def projection_table(
@@ -403,37 +408,14 @@ def projection_table(
     }
 
 
-def mine(
-    db: SequenceDatabase, cfg: MinerConfig, workers: int | None = None
-) -> PatternSet:
+def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     """Complete set of sequential patterns above the support threshold.
 
-    Output is canonical, duplicate-free and lexicographically ordered.  With
-    ``workers`` > 1 the top-level frequent items are mined in parallel; the
-    result is identical to the serial run (branches are independent and the
-    merge re-normalizes order).
+    Output is canonical, duplicate-free and lexicographically ordered.
     """
     min_count = cfg.resolve_min_count(len(db))
-    engine = _Engine(db)
-    root_entries = tuple(
-        ProjectionEntry(i, 0, 0, False) for i, s in enumerate(engine.seqs) if s
-    )
-    s_counts, _ = engine.count_extensions(root_entries, ())
-    top_items = sorted(x for x, c in s_counts.items() if c >= min_count)
-
-    def mine_branch(item: int) -> list[Pattern]:
-        branch: list[Pattern] = []
-        child = engine.project_entries(root_entries, S_EXTENSION, item, ())
-        _dfs(engine, [(item,)], s_counts[item], child, min_count,
-             cfg.max_length, cfg.min_pattern_length, branch)
-        return branch
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            branches = list(pool.map(mine_branch, top_items))
-    else:
-        branches = [mine_branch(item) for item in top_items]
-
-    patterns = [p for branch in branches for p in branch]
-    patterns.sort(key=lambda p: p.sequence.elements)
+    root = ProjectedDatabase.root(db)
+    patterns: list[Pattern] = []
+    _dfs(root.engine, [], len(root), root.entries, min_count, cfg.max_length,
+         cfg.min_pattern_length, patterns)
     return PatternSet(tuple(patterns), len(db), db.dictionary)

@@ -8,26 +8,24 @@ an I-step ANDs the item bitmap at the same positions, an S-step first
 transforms the pattern bitmap so that only positions strictly after the
 earliest end survive.
 
-Sequences are bucketed into lanes of 8/16/32/64-bit words by element count, so
-short sequences (the common case in click-stream shaped data) do not pay for
-a uniform maximum width.
+Sequences are bucketed into fixed lanes of 8/16/32/64-bit words by element
+count, so short sequences (the common case in click-stream shaped data) do not
+pay for a uniform maximum width.  A sequence of more than 64 elements has no
+lane and raises ``CapacityExceededError``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Element, Sequence, SequenceDatabase
-from .errors import CapacityExceededError, InvalidConfigError
+from .errors import CapacityExceededError
 from .prefixspan import MinerConfig, Pattern, PatternSet
 
-#: Supported lane widths and their word types.
+#: Lane widths, narrowest first, and their word types.
 _LANE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-
-DEFAULT_LANE_WIDTHS = (8, 16, 32, 64)
 
 #: One numpy vector per lane, aligned with VerticalBitmapIndex.lanes.
 Bitmap = tuple[np.ndarray, ...]
@@ -43,38 +41,29 @@ class _Lane:
 class VerticalBitmapIndex:
     """Per-item occurrence bitmaps for one database, immutable after build."""
 
-    def __init__(
-        self,
-        db: SequenceDatabase,
-        lane_widths: tuple[int, ...] = DEFAULT_LANE_WIDTHS,
-    ):
-        widths = tuple(sorted(set(lane_widths)))
-        if not widths or any(w not in _LANE_DTYPES for w in widths):
-            raise InvalidConfigError(
-                f"lane widths must be drawn from {sorted(_LANE_DTYPES)}"
-            )
+    def __init__(self, db: SequenceDatabase):
         self.db = db
         self.n_items = len(db.dictionary)
-        buckets: dict[int, list[int]] = {w: [] for w in widths}
+        buckets: dict[int, list[int]] = {w: [] for w in _LANE_DTYPES}
         for si, s in enumerate(db.sequences):
             n_elems = len(s.elements)
             if n_elems == 0:
                 continue
-            for w in widths:
+            for w in _LANE_DTYPES:
                 if n_elems <= w:
                     buckets[w].append(si)
                     break
             else:
                 raise CapacityExceededError(
                     f"sequence {db.seq_ids[si]!r} has {n_elems} elements; "
-                    f"largest lane holds {widths[-1]}"
+                    f"largest lane holds {max(_LANE_DTYPES)}"
                 )
         lanes = []
-        for w in widths:
+        for w, dtype in _LANE_DTYPES.items():
             members = buckets[w]
             if not members:
                 continue
-            bits = np.zeros((self.n_items, len(members)), dtype=_LANE_DTYPES[w])
+            bits = np.zeros((self.n_items, len(members)), dtype=dtype)
             for col, si in enumerate(members):
                 masks: dict[int, int] = {}
                 for pos, elem in enumerate(db.sequences[si].elements):
@@ -131,11 +120,9 @@ class VerticalBitmapIndex:
         return dict(sorted(out.items()))
 
 
-def build_bitmaps(
-    db: SequenceDatabase, lane_widths: tuple[int, ...] = DEFAULT_LANE_WIDTHS
-) -> VerticalBitmapIndex:
+def build_bitmaps(db: SequenceDatabase) -> VerticalBitmapIndex:
     """Index a database for bitmap mining."""
-    return VerticalBitmapIndex(db, lane_widths)
+    return VerticalBitmapIndex(db)
 
 
 def s_step(
@@ -154,12 +141,7 @@ def i_step(
     return grown, index.support(grown)
 
 
-def mine_spam(
-    db: SequenceDatabase,
-    cfg: MinerConfig,
-    workers: int | None = None,
-    lane_widths: tuple[int, ...] = DEFAULT_LANE_WIDTHS,
-) -> PatternSet:
+def mine_spam(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     """Complete pattern set, identical to the pattern-growth miner's output.
 
     Candidate lists shrink down the search tree: an item that fails as an
@@ -170,12 +152,14 @@ def mine_spam(
     min_count = cfg.resolve_min_count(len(db))
     if len(db) == 0:
         return PatternSet((), 0, db.dictionary)
-    index = VerticalBitmapIndex(db, lane_widths)
+    index = VerticalBitmapIndex(db)
     item_bms = [index.item_bitmap(i) for i in range(index.n_items)]
     supports = [index.support(bm) for bm in item_bms]
     top = [i for i in range(index.n_items) if supports[i] >= min_count]
     max_length = cfg.max_length
     min_len = cfg.min_pattern_length
+
+    patterns: list[Pattern] = []
 
     def dfs(
         elems: list[Element],
@@ -183,11 +167,10 @@ def mine_spam(
         support: int,
         s_cands: list[int],
         i_cands: list[int],
-        out: list[Pattern],
     ) -> None:
         item_count = sum(len(e) for e in elems)
         if item_count >= min_len:
-            out.append(Pattern(Sequence(tuple(elems)), support))
+            patterns.append(Pattern(Sequence(tuple(elems)), support))
         if max_length is not None and item_count >= max_length:
             return
         trans = index.s_transform(bm)
@@ -199,7 +182,7 @@ def mine_spam(
                 s_next.append((x, nb, c))
         s_keep = [x for x, _, _ in s_next]
         for x, nb, c in s_next:
-            dfs(elems + [(x,)], nb, c, s_keep, [y for y in s_keep if y > x], out)
+            dfs(elems + [(x,)], nb, c, s_keep, [y for y in s_keep if y > x])
         i_next = []
         for y in i_cands:
             nb = index.and_bitmaps(bm, item_bms[y])
@@ -210,20 +193,11 @@ def mine_spam(
         last = elems[-1]
         for y, nb, c in i_next:
             dfs(elems[:-1] + [last + (y,)], nb, c, s_keep,
-                [z for z in i_keep if z > y], out)
+                [z for z in i_keep if z > y])
 
-    def mine_branch(item: int) -> list[Pattern]:
-        branch: list[Pattern] = []
+    # Items ascend and each node emits itself, then its S-, then its
+    # I-extensions, so the DFS emits patterns already in canonical order.
+    for item in top:
         dfs([(item,)], item_bms[item], supports[item], top,
-            [y for y in top if y > item], branch)
-        return branch
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            branches = list(pool.map(mine_branch, top))
-    else:
-        branches = [mine_branch(item) for item in top]
-
-    patterns = [p for branch in branches for p in branch]
-    patterns.sort(key=lambda p: p.sequence.elements)
+            [y for y in top if y > item])
     return PatternSet(tuple(patterns), len(db), db.dictionary)

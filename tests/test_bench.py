@@ -10,7 +10,7 @@ from seqmine import (
     run_bench,
 )
 from seqmine.bench import MINERS, dataset_stats, format_table, write_bench_csv
-from seqmine.prefixspan import PatternSet
+from seqmine.prefixspan import Pattern, PatternSet
 
 
 class TestDatasetStats:
@@ -44,12 +44,23 @@ class TestRunBench:
         assert row.n_sequences == 4 and row.alphabet_size == 7
 
     def test_count_mismatch_is_fatal(self, letters_db, monkeypatch):
-        def broken(db, cfg, workers=None):
-            full = mine(db, cfg, workers=workers)
+        def broken(db, cfg):
+            full = mine(db, cfg)
             return PatternSet(full.patterns[:-1], full.n_sequences, full.dictionary)
 
         monkeypatch.setitem(MINERS, "spam", broken)
         with pytest.raises(MinerMismatchError):
+            run_bench(letters_db, [2], repeats=1)
+
+    def test_support_mismatch_is_fatal(self, letters_db, monkeypatch):
+        def off_by_one(db, cfg):
+            full = mine(db, cfg)
+            first, *rest = full.patterns
+            wrong = Pattern(first.sequence, first.support_count - 1)
+            return PatternSet((wrong, *rest), full.n_sequences, full.dictionary)
+
+        monkeypatch.setitem(MINERS, "spam", off_by_one)
+        with pytest.raises(MinerMismatchError, match="disagree on 2"):
             run_bench(letters_db, [2], repeats=1)
 
     def test_validation(self, letters_db):

@@ -142,6 +142,19 @@ class TestMine:
                      "--out", str(tmp_path / "out")]) == 0
         assert "rejected line 3" in capsys.readouterr().err
 
+    def test_library_error_exits_with_one_line(self, tmp_path, capsys):
+        # Trips of 70-80 check-ins exceed the bitmap miner's 64-element lanes.
+        path = tmp_path / "long.csv"
+        assert main(["generate", "--users", "50", "--checkins-min", "70",
+                     "--checkins-max", "80", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["mine", "--input", str(path), "--grouping", "trip",
+                     "--miner", "spam", "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sequence ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestBench:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -157,8 +170,8 @@ class TestBench:
         assert len(rows) == 5  # header + 2 miners x 2 supports
 
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
-        def broken(db, cfg, workers=None):
-            full = mine(db, cfg, workers=workers)
+        def broken(db, cfg):
+            full = mine(db, cfg)
             return PatternSet(full.patterns[:-1], full.n_sequences, full.dictionary)
 
         monkeypatch.setitem(MINERS, "spam", broken)

@@ -238,11 +238,6 @@ class TestConfigEffects:
         db = SequenceDatabase.from_raw([])
         assert len(mine(db, MinerConfig(min_support=1))) == 0
 
-    def test_workers_do_not_change_result(self, letters_db):
-        serial = mine(letters_db, MinerConfig(min_support=1))
-        parallel = mine(letters_db, MinerConfig(min_support=1), workers=4)
-        assert [p for p in serial] == [p for p in parallel]
-
 
 class TestPatternSet:
     def test_relative_support(self, letters_db):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from seqmine import (
     CapacityExceededError,
-    InvalidConfigError,
     MinerConfig,
     SequenceDatabase,
     build_bitmaps,
@@ -68,18 +67,23 @@ class TestIndexConstruction:
         assert "big" in str(exc.value)
         assert "64" in str(exc.value)
 
-    def test_restricted_lane_widths(self, digits_db):
-        idx = build_bitmaps(digits_db, lane_widths=(8,))
-        assert [l.width for l in idx.lanes] == [8]
-        rows = [[["x"]] * 9]
-        with pytest.raises(CapacityExceededError):
-            build_bitmaps(SequenceDatabase.from_raw(rows), lane_widths=(8,))
+    def test_restricted_lane_widths(self):
+        # Lanes come only in the fixed widths: each sequence lands in the
+        # narrowest of 8/16/32/64 elements that holds it.
+        sizes = (8, 9, 16, 17, 32, 33, 64)
+        rows = [[["x"]] * n for n in sizes]
+        idx = build_bitmaps(SequenceDatabase.from_raw(rows))
+        assert [(l.width, l.seq_indices) for l in idx.lanes] == [
+            (8, (0,)), (16, (1, 2)), (32, (3, 4)), (64, (5, 6)),
+        ]
 
     def test_invalid_lane_widths(self, digits_db):
-        with pytest.raises(InvalidConfigError):
-            build_bitmaps(digits_db, lane_widths=(12,))
-        with pytest.raises(InvalidConfigError):
-            build_bitmaps(digits_db, lane_widths=())
+        # The lane widths are not a setting; a caller passing one fails
+        # loudly rather than having it ignored.
+        with pytest.raises(TypeError):
+            build_bitmaps(digits_db, lane_widths=(8,))
+        with pytest.raises(TypeError):
+            mine_spam(digits_db, MinerConfig(min_support=2), lane_widths=(8,))
 
     def test_item_id_out_of_range(self, digits_db):
         idx = build_bitmaps(digits_db)
@@ -158,17 +162,22 @@ class TestMineSpam:
     def test_threshold_above_database_size(self, digits_db):
         assert len(mine_spam(digits_db, MinerConfig(min_support=9))) == 0
 
-    def test_workers_do_not_change_result(self, letters_db):
-        cfg = MinerConfig(min_support=1)
-        assert list(mine_spam(letters_db, cfg)) == list(
-            mine_spam(letters_db, cfg, workers=4)
-        )
-
-    def test_narrow_lanes_do_not_change_result(self, digits_db):
-        cfg = MinerConfig(min_support=2)
-        assert list(mine_spam(digits_db, cfg, lane_widths=(8,))) == list(
-            mine_spam(digits_db, cfg)
-        )
+    def test_narrow_lanes_do_not_change_result(self):
+        # One sequence per lane, so every bitmap holds all four word widths;
+        # the oracle's random databases never leave the 8-bit lane.
+        cfg = MinerConfig(min_support=2, max_length=3)
+        for seed in range(3):
+            rng = random.Random(seed)
+            raw = [
+                tuple(tuple(sorted(rng.sample(range(6), rng.choice((1, 1, 2)))))
+                      for _ in range(n))
+                for n in (5, 12, 30, 64)
+            ]
+            db = as_database(raw)
+            assert [l.width for l in build_bitmaps(db).lanes] == [8, 16, 32, 64]
+            got = mine_spam(db, cfg)
+            assert list(got) == list(mine(db, cfg))
+            assert got.as_dict() == oracle.mine_exhaustive(raw, 2, max_items=3)
 
     @given(seed=st.integers(0, 10_000), min_count=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
