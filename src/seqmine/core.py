@@ -3,8 +3,7 @@
 A sequence is an ordered list of elements; an element is a non-empty set of
 items occurring together.  Items are dictionary-encoded integers whose order
 mirrors the alphabetical order of their labels, so "listed alphabetically"
-is an integer comparison.  All types are immutable and operations are pure,
-which makes them safe to share across miner threads.
+is an integer comparison.  All types are immutable and operations are pure.
 
 Text rendering follows the conventional notation: elements in parentheses,
 singleton elements bare when the alphabet is single-character, and a leading
@@ -192,13 +191,7 @@ def canonicalize(
     Items within an element are sorted by id and duplicates collapse; the
     resulting expression of a sequence is unique.
     """
-    elements = []
-    for elem in raw:
-        ids = sorted({dictionary.encode(lb) for lb in elem})
-        if not ids:
-            raise EmptyElementError("empty element in sequence")
-        elements.append(tuple(ids))
-    return Sequence(tuple(elements))
+    return Sequence.from_ids((dictionary.encode(lb) for lb in elem) for elem in raw)
 
 
 def render_elements(
@@ -243,21 +236,38 @@ def _is_subset(small: Element, big: Element) -> bool:
     return i == len(small)
 
 
+def _match(a: Sequence, b: Sequence, start: int = 0) -> tuple[int, int] | None:
+    """Greedy earliest occurrence of non-empty b in a, from element ``start`` on.
+
+    Returns the indices (first, last) of the elements of a that b's first
+    and last elements match, or None.  Each element of b takes the earliest
+    element of a that holds it as a subset.  Greedy matching is complete
+    because subset admissibility is monotone in the match position, so None
+    means that no occurrence starts at or after ``start``: a caller trying
+    anchors left to right can stop at the first None, as none starts later.
+    """
+    elements = a.elements
+    n = len(elements)
+    j = start
+    first = -1
+    for elem in b.elements:
+        while j < n and not _is_subset(elem, elements[j]):
+            j += 1
+        if j == n:
+            return None
+        if first < 0:
+            first = j
+        j += 1
+    return first, j - 1
+
+
 def contains_subsequence(s: Sequence, p: Sequence) -> bool:
     """True iff p's elements match subsets of s's elements, in order.
 
-    Greedy earliest matching; equivalent to exhaustive matching because
-    subset admissibility is monotone in the match position.  The empty
-    pattern is contained in everything (recursion base case for mining).
+    The empty pattern is contained in everything (recursion base case for
+    mining).
     """
-    j = 0
-    for elem in p.elements:
-        while j < len(s.elements) and not _is_subset(elem, s.elements[j]):
-            j += 1
-        if j == len(s.elements):
-            return False
-        j += 1
-    return True
+    return not p or _match(s, p) is not None
 
 
 def is_prefix(b: Sequence, a: Sequence) -> bool:
@@ -275,25 +285,6 @@ def is_prefix(b: Sequence, a: Sequence) -> bool:
     return all(x in last_b for x in last_a if x < hi)
 
 
-def _match_end(a: Sequence, b: Sequence) -> tuple[int, int] | None:
-    """Greedy earliest prefix-style occurrence of b inside a.
-
-    Returns (element index, item index of the last matched item) or None.
-    The last matched item of an element match is its largest item, so the
-    unconsumed remainder is exactly the items ordered after it.
-    """
-    j = 0
-    end = None
-    for elem in b.elements:
-        while j < len(a.elements) and not _is_subset(elem, a.elements[j]):
-            j += 1
-        if j == len(a.elements):
-            return None
-        end = (j, a.elements[j].index(elem[-1]))
-        j += 1
-    return end
-
-
 def suffix(a: Sequence, b: Sequence) -> Suffix:
     """Suffix of a with regard to prefix b (earliest occurrence).
 
@@ -303,12 +294,15 @@ def suffix(a: Sequence, b: Sequence) -> Suffix:
     """
     if not b:
         raise ValueError("suffix prefix must be non-empty")
-    end = _match_end(a, b)
-    if end is None:
+    match = _match(a, b)
+    if match is None:
         return EMPTY_SUFFIX
-    elem_idx, item_idx = end
-    partial = a.elements[elem_idx][item_idx + 1 :]
-    rest = a.elements[elem_idx + 1 :]
+    last = match[1]
+    # b's final element is a subset of a.elements[last]; its largest item is
+    # the last one consumed, so the unconsumed remainder is what follows it
+    elem = a.elements[last]
+    partial = elem[elem.index(b.elements[-1][-1]) + 1 :]
+    rest = a.elements[last + 1 :]
     if not partial and not rest:
         return EMPTY_SUFFIX
     return Suffix(partial or None, rest)

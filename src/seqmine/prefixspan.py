@@ -299,41 +299,6 @@ class _Engine:
         return tuple(out)
 
 
-def _dfs(
-    engine: _Engine,
-    prefix: list[Element],
-    support: int,
-    entries: tuple[ProjectionEntry, ...],
-    min_count: int,
-    max_length: int | None,
-    min_pattern_length: int,
-    out: list[Pattern],
-) -> None:
-    item_count = sum(len(e) for e in prefix)
-    if item_count >= min_pattern_length:
-        out.append(Pattern(Sequence(tuple(prefix)), support))
-    if max_length is not None and item_count >= max_length:
-        return
-    if not entries:
-        return
-    last = prefix[-1] if prefix else ()  # the root has no I-extensions
-    s_counts, i_counts = engine.count_extensions(entries, last)
-    # S-extensions sort before I-extensions in the canonical order, and both
-    # ascend by item id, so plain DFS emits patterns already sorted.
-    for item in sorted(x for x, c in s_counts.items() if c >= min_count):
-        child = engine.project_entries(entries, S_EXTENSION, item, last)
-        prefix.append((item,))
-        _dfs(engine, prefix, s_counts[item], child, min_count, max_length,
-             min_pattern_length, out)
-        prefix.pop()
-    for item in sorted(x for x, c in i_counts.items() if c >= min_count):
-        child = engine.project_entries(entries, I_EXTENSION, item, last)
-        prefix[-1] = last + (item,)
-        _dfs(engine, prefix, i_counts[item], child, min_count, max_length,
-             min_pattern_length, out)
-        prefix[-1] = last
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -342,15 +307,8 @@ def frequent_items(
     db: SequenceDatabase, min_count: int
 ) -> list[tuple[Item, int]]:
     """Items contained in at least min_count distinct sequences, by id."""
-    counts: Counter = Counter()
-    for s in db.sequences:
-        for item in {i for e in s.elements for i in e}:
-            counts[item] += 1
-    return [
-        (Item(i, db.dictionary.decode(i)), counts[i])
-        for i in sorted(counts)
-        if counts[i] >= min_count
-    ]
+    root = ProjectedDatabase.root(db)
+    return [(ext.item, ext.count) for ext in frequent_extensions(root, min_count)]
 
 
 def frequent_extensions(
@@ -400,12 +358,9 @@ def projection_table(
     conventional tabulation where infrequent items are elided.
     """
     root = ProjectedDatabase.root(db)
-    freq = frequent_items(db, min_count)
-    include = [item.id for item, _ in freq]
-    return {
-        item.label: project(root, Extension(item, S_EXTENSION, count)).render(include)
-        for item, count in freq
-    }
+    exts = frequent_extensions(root, min_count)
+    include = [ext.item.id for ext in exts]
+    return {ext.item.label: project(root, ext).render(include) for ext in exts}
 
 
 def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
@@ -414,8 +369,18 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     Output is canonical, duplicate-free and lexicographically ordered.
     """
     min_count = cfg.resolve_min_count(len(db))
-    root = ProjectedDatabase.root(db)
     patterns: list[Pattern] = []
-    _dfs(root.engine, [], len(root), root.entries, min_count, cfg.max_length,
-         cfg.min_pattern_length, patterns)
+
+    # Depth-first over S-extensions then I-extensions, each by ascending
+    # item id, which emits the patterns already in canonical order.
+    def grow(pdb: ProjectedDatabase) -> None:
+        for ext in frequent_extensions(pdb, min_count):
+            child = project(pdb, ext)
+            length = child.prefix.item_count
+            if length >= cfg.min_pattern_length:
+                patterns.append(Pattern(child.prefix, ext.count))
+            if cfg.max_length is None or length < cfg.max_length:
+                grow(child)
+
+    grow(ProjectedDatabase.root(db))
     return PatternSet(tuple(patterns), len(db), db.dictionary)

@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .core import Sequence, SequenceDatabase, contains_subsequence
-from .errors import UndefinedConfidenceError
+from .core import Sequence, SequenceDatabase, _match, contains_subsequence
+from .errors import InvalidConfigError, UndefinedConfidenceError
 from .prefixspan import Pattern, PatternSet
 
 VALID_SORT_KEYS = ("frequency", "support", "confidence")
@@ -66,23 +66,12 @@ def count_minimal_occurrences(s: Sequence, p: Sequence) -> int:
     """
     if not p.elements:
         raise ValueError("pattern must be non-empty")
-    esets = [frozenset(e) for e in s.elements]
-    psets = [frozenset(e) for e in p.elements]
     ends: set[int] = set()
-    for anchor in range(len(esets)):
-        if not psets[0] <= esets[anchor]:
-            continue
-        j = anchor
-        ok = True
-        for pe in psets[1:]:
-            j += 1
-            while j < len(esets) and not pe <= esets[j]:
-                j += 1
-            if j == len(esets):
-                ok = False
-                break
-        if ok:
-            ends.add(j)
+    match = _match(s, p)
+    while match is not None:
+        first, last = match
+        ends.add(last)
+        match = _match(s, p, first + 1)
     return len(ends)
 
 
@@ -110,10 +99,13 @@ def build_report(
     With ``n_activities`` set (default 3) only patterns of exactly that many
     single-item elements qualify; with None, any pattern of at least two
     elements does.  Rows sort by ``sort_key`` descending, ties broken by the
-    rendered activity string, truncated to ``top_k``.
+    rendered activity string, truncated to ``top_k``; a negative ``top_k``
+    raises InvalidConfigError.
     """
     if sort_key not in VALID_SORT_KEYS:
         raise ValueError(f"sort_key must be one of {VALID_SORT_KEYS}")
+    if top_k is not None and top_k < 0:
+        raise InvalidConfigError(f"top_k must be >= 0, got {top_k}")
     supports = patterns.as_dict()
 
     def antecedent_count(p: Pattern) -> int:

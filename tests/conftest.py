@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from seqmine import ItemDictionary, SequenceDatabase
+from seqmine import ItemDictionary, Sequence, SequenceDatabase
 
 # Two standing fixtures: a single-character alphabet database whose one-item
 # projections exercise open elements and interleaved itemsets, and a digit
@@ -42,3 +43,15 @@ def as_database(raw_db, alphabet: int = 8) -> SequenceDatabase:
     dictionary = ItemDictionary.from_labels([str(i) for i in range(alphabet)])
     rows = [[[str(i) for i in elem] for elem in seq] for seq in raw_db]
     return SequenceDatabase.from_raw(rows, dictionary=dictionary)
+
+
+# Long sequences over a three-item alphabet: every first element of a pattern
+# recurs many times, so a matcher has to restart and skip far more often than
+# in the short random databases.
+_small_elements = st.sets(st.integers(0, 2), min_size=1).map(lambda s: tuple(sorted(s)))
+long_sequences = st.lists(_small_elements, min_size=20, max_size=40).map(
+    lambda elems: Sequence(tuple(elems))
+)
+short_patterns = st.lists(_small_elements, min_size=1, max_size=4).map(
+    lambda elems: Sequence(tuple(elems))
+)

@@ -99,6 +99,13 @@ class TestMine:
               "--top-k", "3", "--out", str(out)])
         assert len(read_csv(out / "report.csv")) <= 4
 
+    def test_negative_top_k_is_config_error(self, corpus_csv, tmp_path, capsys):
+        code = main(["mine", "--input", str(corpus_csv), "--min-support", "2",
+                     "--top-k", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "top_k" in err[0]
+
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         code = main(["mine", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "out")])

@@ -19,6 +19,7 @@ from seqmine import (
     render_elements,
     suffix,
 )
+from conftest import long_sequences, short_patterns
 from oracle import contains as oracle_contains
 from oracle import random_db
 
@@ -114,6 +115,11 @@ class TestContainsSubsequence:
     @given(s=ids_sequences, p=ids_sequences)
     @settings(max_examples=300, deadline=None)
     def test_greedy_matches_backtracking(self, s, p):
+        assert contains_subsequence(s, p) == oracle_contains(s.elements, p.elements)
+
+    @given(s=long_sequences, p=short_patterns)
+    @settings(max_examples=40, deadline=None)
+    def test_long_sequences_match_backtracking(self, s, p):
         assert contains_subsequence(s, p) == oracle_contains(s.elements, p.elements)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqmine import (
+    InvalidConfigError,
     MinerConfig,
     SequenceDatabase,
     UndefinedConfidenceError,
@@ -21,7 +22,7 @@ from seqmine.core import Sequence, canonicalize
 from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
 
 import oracle
-from conftest import as_database
+from conftest import as_database, long_sequences, short_patterns
 
 
 def pat(db, *elems):
@@ -106,6 +107,13 @@ class TestMinimalOccurrences:
                 s_raw, p.elements
             )
 
+    @given(s=long_sequences, p=short_patterns)
+    @settings(max_examples=40, deadline=None)
+    def test_long_sequences_match_window_enumeration(self, s, p):
+        assert count_minimal_occurrences(s, p) == oracle.minimal_windows(
+            s.elements, p.elements
+        )
+
 
 class TestBuildReport:
     def test_three_activity_rows(self, digits_db):
@@ -140,6 +148,11 @@ class TestBuildReport:
         ps = mine(digits_db, MinerConfig(min_support=3))
         with pytest.raises(ValueError):
             build_report(ps, digits_db, sort_key="lift")
+
+    def test_negative_top_k_rejected(self, digits_db):
+        ps = mine(digits_db, MinerConfig(min_support=3))
+        with pytest.raises(InvalidConfigError):
+            build_report(ps, digits_db, top_k=-1)
 
     def test_frequency_no_less_than_containing_sequences(self, letters_db):
         ps = mine(letters_db, MinerConfig(min_support=2))

@@ -187,3 +187,25 @@ class TestMineSpam:
         expected = oracle.mine_exhaustive(raw, min_count)
         got = mine_spam(db, MinerConfig(min_support=min_count)).as_dict()
         assert got == expected
+
+    @given(
+        raw=st.lists(
+            st.lists(
+                st.sets(st.integers(0, 3), min_size=1, max_size=2).map(
+                    lambda e: tuple(sorted(e))
+                ),
+                min_size=40,
+                max_size=64,
+            ).map(tuple),
+            min_size=2,
+            max_size=4,
+        ),
+        min_count=st.integers(1, 3),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_long_sequences_match_pattern_growth_and_reference(self, raw, min_count):
+        db = as_database(raw, alphabet=4)
+        cfg = MinerConfig(min_support=min_count, max_length=3)
+        expected = oracle.mine_exhaustive(raw, min_count, max_items=3)
+        assert mine_spam(db, cfg).as_dict() == expected
+        assert mine(db, cfg).as_dict() == expected
