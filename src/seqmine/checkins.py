@@ -22,7 +22,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import ItemDictionary, SequenceDatabase, canonicalize
+from .core import ItemDictionary, SequenceDatabase
 from .errors import FormatError, InvalidConfigError
 
 CSV_HEADER = (
@@ -102,28 +102,27 @@ def _as_text(source: str | Path | bytes | IO) -> IO[str]:
     return io.StringIO(data)
 
 
-def _validate_row(
-    fields: dict[str, str], seen_ids: set[str]
-) -> tuple[CheckIn | None, str | None]:
+def _validate_row(fields: dict[str, str], seen_ids: set[str]) -> CheckIn | str:
+    """The row as a CheckIn, or the reason it is rejected."""
     for name in ("checkin_id", "user_id", "timestamp", "lat", "lon", "category"):
         if not str(fields.get(name, "")).strip():
-            return None, f"missing {name}"
+            return f"missing {name}"
     cid = str(fields["checkin_id"]).strip()
     if cid in seen_ids:
-        return None, f"duplicate checkin_id {cid!r}"
+        return f"duplicate checkin_id {cid!r}"
     try:
         ts = _parse_timestamp(str(fields["timestamp"]))
     except ValueError:
-        return None, f"bad timestamp {fields['timestamp']!r}"
+        return f"bad timestamp {fields['timestamp']!r}"
     try:
         lat = float(fields["lat"])
         lon = float(fields["lon"])
     except (TypeError, ValueError):
-        return None, "non-numeric coordinates"
+        return "non-numeric coordinates"
     if not -90.0 <= lat <= 90.0:
-        return None, "lat out of range"
+        return "lat out of range"
     if not -180.0 <= lon <= 180.0:
-        return None, "lon out of range"
+        return "lon out of range"
     gender = str(fields.get("gender") or "").strip() or None
     origin = str(fields.get("origin") or "").strip() or None
     checkin = CheckIn(
@@ -138,7 +137,43 @@ def _validate_row(
         origin=origin,
     )
     seen_ids.add(cid)
-    return checkin, None
+    return checkin
+
+
+def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, dict[str, str] | str]]:
+    """Each non-blank row's line number and its fields, or why it is rejected."""
+    reader = csv.reader(fp)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("empty input: missing CSV header")
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
+    for row in reader:
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(CSV_HEADER):
+            yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+        else:
+            yield reader.line_num, dict(zip(CSV_HEADER, row))
+
+
+def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, dict[str, str] | str]]:
+    for line_no, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            yield line_no, "invalid JSON"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "expected a JSON object"
+        else:
+            yield line_no, {k: ("" if v is None else v) for k, v in obj.items()}
+
+
+_ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
 
 
 def parse_checkins(
@@ -151,7 +186,7 @@ def parse_checkins(
     collected with their line numbers instead of being silently dropped.
     An unusable CSV header raises FormatError.
     """
-    if format not in ("csv", "jsonl"):
+    if format not in _ROW_READERS:
         raise ValueError("format must be 'csv' or 'jsonl'")
     fp = _as_text(source)
     close = isinstance(source, (str, Path))
@@ -159,50 +194,12 @@ def parse_checkins(
         checkins: list[CheckIn] = []
         rejects: list[RejectedRow] = []
         seen: set[str] = set()
-        if format == "csv":
-            reader = csv.reader(fp)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError("empty input: missing CSV header")
-            if tuple(h.strip() for h in header) != CSV_HEADER:
-                raise FormatError(
-                    f"bad CSV header: expected {','.join(CSV_HEADER)}"
-                )
-            for row in reader:
-                line_no = reader.line_num
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(CSV_HEADER):
-                    rejects.append(
-                        RejectedRow(line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                    )
-                    continue
-                fields = dict(zip(CSV_HEADER, row))
-                checkin, reason = _validate_row(fields, seen)
-                if checkin is None:
-                    rejects.append(RejectedRow(line_no, reason or "invalid"))
-                else:
-                    checkins.append(checkin)
-        else:
-            for line_no, line in enumerate(fp, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    rejects.append(RejectedRow(line_no, "invalid JSON"))
-                    continue
-                if not isinstance(obj, dict):
-                    rejects.append(RejectedRow(line_no, "expected a JSON object"))
-                    continue
-                checkin, reason = _validate_row(
-                    {k: ("" if v is None else v) for k, v in obj.items()}, seen
-                )
-                if checkin is None:
-                    rejects.append(RejectedRow(line_no, reason or "invalid"))
-                else:
-                    checkins.append(checkin)
+        for line_no, fields in _ROW_READERS[format](fp):
+            row = fields if isinstance(fields, str) else _validate_row(fields, seen)
+            if isinstance(row, str):
+                rejects.append(RejectedRow(line_no, row))
+            else:
+                checkins.append(row)
         return ParseResult(tuple(checkins), tuple(rejects))
     finally:
         if close:
@@ -443,15 +440,10 @@ def build_sequences(
 ) -> SequenceDatabase:
     """Assemble the groups into a SequenceDatabase of activity sequences."""
     tourist_seqs = build_tourist_sequences(groups, merge_resolution)
-    if dictionary is None:
-        labels = sorted({a for t in tourist_seqs for e in t.activities for a in e})
-        dictionary = ItemDictionary.from_labels(labels)
-    sequences = tuple(
-        canonicalize([list(e) for e in t.activities], dictionary)
-        for t in tourist_seqs
-    )
-    return SequenceDatabase(
-        sequences, tuple(t.seq_id for t in tourist_seqs), dictionary
+    return SequenceDatabase.from_raw(
+        [t.activities for t in tourist_seqs],
+        [t.seq_id for t in tourist_seqs],
+        dictionary,
     )
 
 

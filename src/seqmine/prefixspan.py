@@ -24,6 +24,7 @@ from .core import (
     Sequence,
     SequenceDatabase,
     Suffix,
+    _is_subset,
 )
 from .errors import InvalidConfigError
 
@@ -147,20 +148,16 @@ class PatternSet:
 class ProjectedDatabase:
     """Pseudo-projection of a database with respect to a prefix.
 
-    The scan engine is built once by :meth:`root` and carried forward by
-    :func:`project`, so every projection of one database shares it.
+    Entries are positions into ``base``'s own element tuples; no suffix or
+    element is copied.
     """
 
     prefix: Sequence
     entries: tuple[ProjectionEntry, ...]
-    engine: _Engine = field(repr=False)
+    base: SequenceDatabase = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def base(self) -> SequenceDatabase:
-        return self.engine.db
 
     @classmethod
     def root(cls, db: SequenceDatabase) -> "ProjectedDatabase":
@@ -169,7 +166,7 @@ class ProjectedDatabase:
             for i, s in enumerate(db.sequences)
             if s.elements
         )
-        return cls(Sequence(), entries, _Engine(db))
+        return cls(Sequence(), entries, db)
 
     def suffixes(self, include: Collection[int] | None = None) -> list[Suffix]:
         """Materialize entry suffixes, optionally restricted to `include` items.
@@ -207,99 +204,6 @@ class ProjectedDatabase:
 
 
 # ---------------------------------------------------------------------------
-# engine
-
-
-class _Engine:
-    """Shared scan state for one database: raw elements plus per-element sets."""
-
-    def __init__(self, db: SequenceDatabase):
-        self.db = db
-        self.seqs = [s.elements for s in db.sequences]
-        self.esets = [[frozenset(e) for e in s] for s in self.seqs]
-
-    def count_extensions(
-        self, entries: Collection[ProjectionEntry], last_elem: Element
-    ) -> tuple[Counter, Counter]:
-        """Distinct-sequence counts of every S- and I-extension candidate.
-
-        An S-candidate is any item in a full element of a suffix.  An
-        I-candidate must be ordered after the prefix's last element and occur
-        either in the open partial or in a later element that also contains
-        the whole last element (the pattern's enlarged element has to sit in
-        a single database element).
-        """
-        s_counts: Counter = Counter()
-        i_counts: Counter = Counter()
-        lset = frozenset(last_elem)
-        lmax = last_elem[-1] if last_elem else -1
-        for si, eo, io, open_ in entries:
-            seq = self.seqs[si]
-            esets = self.esets[si]
-            s_seen: set[int] = set()
-            i_seen: set[int] = set()
-            if open_:
-                i_seen.update(seq[eo][io:])
-            start = eo + 1 if open_ else eo
-            for j in range(start, len(seq)):
-                elem = seq[j]
-                s_seen.update(elem)
-                if last_elem and lset <= esets[j]:
-                    for x in reversed(elem):
-                        if x > lmax:
-                            i_seen.add(x)
-                        else:
-                            break
-            for x in s_seen:
-                s_counts[x] += 1
-            for x in i_seen:
-                i_counts[x] += 1
-        return s_counts, i_counts
-
-    def project_entries(
-        self,
-        entries: Collection[ProjectionEntry],
-        kind: str,
-        item: int,
-        last_elem: Element,
-    ) -> tuple[ProjectionEntry, ...]:
-        """Advance entries past the earliest occurrence of the extension item.
-
-        Entries whose suffix has no occurrence (or nothing left after it)
-        are dropped.
-        """
-        grown = frozenset(last_elem) | {item}
-        out = []
-        for si, eo, io, open_ in entries:
-            seq = self.seqs[si]
-            esets = self.esets[si]
-            hit: tuple[int, int] | None = None
-            if kind == I_EXTENSION and open_ and item in esets[eo]:
-                idx = seq[eo].index(item)
-                if idx >= io:
-                    hit = (eo, idx)
-            if hit is None:
-                start = eo + 1 if open_ else eo
-                for j in range(start, len(seq)):
-                    if kind == S_EXTENSION:
-                        ok = item in esets[j]
-                    else:
-                        ok = grown <= esets[j]
-                    if ok:
-                        hit = (j, seq[j].index(item))
-                        break
-            if hit is None:
-                continue
-            j, idx = hit
-            if idx + 1 < len(seq[j]):
-                out.append(ProjectionEntry(si, j, idx + 1, True))
-            elif j + 1 < len(seq):
-                out.append(ProjectionEntry(si, j + 1, 0, False))
-            # else: suffix empty, entry dropped
-        return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -314,39 +218,83 @@ def frequent_items(
 def frequent_extensions(
     pdb: ProjectedDatabase, min_count: int
 ) -> list[Extension]:
-    """Frequent S- and I-extensions of pdb's prefix (S first, ids ascending)."""
+    """Frequent S- and I-extensions of pdb's prefix (S first, ids ascending).
+
+    Counts are of distinct sequences.  An S-candidate is any item in a full
+    element of a suffix.  An I-candidate must be ordered after the prefix's
+    last element and occur either in the open partial or in a later element
+    that also contains the whole last element (the pattern's enlarged
+    element has to sit in a single database element).
+    """
     last = pdb.prefix.elements[-1] if pdb.prefix else ()
-    s_counts, i_counts = pdb.engine.count_extensions(pdb.entries, last)
+    lmax = last[-1] if last else -1
+    sequences = pdb.base.sequences
+    s_counts: Counter = Counter()
+    i_counts: Counter = Counter()
+    for si, eo, io, open_ in pdb.entries:
+        seq = sequences[si].elements
+        s_seen: set[int] = set()
+        i_seen: set[int] = set()
+        if open_:
+            i_seen.update(seq[eo][io:])
+            eo += 1
+        for elem in seq[eo:]:
+            s_seen.update(elem)
+            # cheap membership test first: most elements lack lmax
+            if lmax in elem and _is_subset(last, elem):
+                i_seen.update(elem[elem.index(lmax) + 1 :])
+        s_counts.update(s_seen)
+        i_counts.update(i_seen)
     dictionary = pdb.base.dictionary
-    exts = [
-        Extension(Item(i, dictionary.decode(i)), S_EXTENSION, s_counts[i])
-        for i in sorted(s_counts)
-        if s_counts[i] >= min_count
+    return [
+        Extension(Item(i, dictionary.decode(i)), kind, counts[i])
+        for kind, counts in ((S_EXTENSION, s_counts), (I_EXTENSION, i_counts))
+        for i in sorted(counts)
+        if counts[i] >= min_count
     ]
-    if last:
-        exts.extend(
-            Extension(Item(i, dictionary.decode(i)), I_EXTENSION, i_counts[i])
-            for i in sorted(i_counts)
-            if i_counts[i] >= min_count
-        )
-    return exts
 
 
 def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
-    """Projected database of pdb's prefix grown by one extension."""
+    """Projected database of pdb's prefix grown by one extension.
+
+    Each entry advances past the earliest occurrence of the extension item;
+    entries whose suffix has no occurrence (or nothing left after it) are
+    dropped.
+    """
     last = pdb.prefix.elements[-1] if pdb.prefix else ()
+    item = ext.item.id
     if ext.kind == I_EXTENSION:
         if not last:
             raise ValueError("cannot I-extend an empty prefix")
-        if ext.item.id <= last[-1]:
+        if item <= last[-1]:
             raise ValueError("I-extension item must be ordered after the last element")
-        new_elems = pdb.prefix.elements[:-1] + (last + (ext.item.id,),)
+        new_elems = pdb.prefix.elements[:-1] + (last + (item,),)
     elif ext.kind == S_EXTENSION:
-        new_elems = pdb.prefix.elements + ((ext.item.id,),)
+        new_elems = pdb.prefix.elements + ((item,),)
     else:
         raise ValueError(f"unknown extension kind: {ext.kind!r}")
-    entries = pdb.engine.project_entries(pdb.entries, ext.kind, ext.item.id, last)
-    return ProjectedDatabase(Sequence(new_elems), entries, pdb.engine)
+    i_ext = ext.kind == I_EXTENSION
+    sequences = pdb.base.sequences
+    out = []
+    for si, eo, io, open_ in pdb.entries:
+        seq = sequences[si].elements
+        if i_ext and open_ and item in seq[eo][io:]:
+            j = eo
+        else:
+            for j in range(eo + 1 if open_ else eo, len(seq)):
+                elem = seq[j]
+                if item in elem and (not i_ext or _is_subset(last, elem)):
+                    break
+            else:
+                continue
+        elem = seq[j]
+        idx = elem.index(item) + 1
+        if idx < len(elem):
+            out.append(ProjectionEntry(si, j, idx, True))
+        elif j + 1 < len(seq):
+            out.append(ProjectionEntry(si, j + 1, 0, False))
+        # else: suffix empty, entry dropped
+    return ProjectedDatabase(Sequence(new_elems), tuple(out), pdb.base)
 
 
 def projection_table(

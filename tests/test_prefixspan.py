@@ -288,3 +288,25 @@ class TestAgainstExhaustiveReference:
         expected = oracle.mine_exhaustive(raw, 2, max_items=max_length)
         got = mine(db, MinerConfig(min_support=2, max_length=max_length)).as_dict()
         assert got == expected
+
+    @given(
+        raw=st.lists(
+            st.lists(
+                st.sets(st.integers(0, 3), min_size=1, max_size=2).map(
+                    lambda e: tuple(sorted(e))
+                ),
+                min_size=65,
+                max_size=72,
+            ).map(tuple),
+            min_size=2,
+            max_size=2,
+        ),
+        min_count=st.integers(1, 2),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_sequences_past_64_elements(self, raw, min_count):
+        # past SPAM's 64-element bitmap lanes only pattern growth can answer
+        db = as_database(raw, alphabet=4)
+        cfg = MinerConfig(min_support=min_count, max_length=3)
+        expected = oracle.mine_exhaustive(raw, min_count, max_items=3)
+        assert mine(db, cfg).as_dict() == expected
