@@ -60,29 +60,24 @@ def run_bench(
     db: SequenceDatabase,
     supports: SequenceABC[int | float],
     repeats: int = 3,
-    miners: Iterable[str] = ("prefixspan", "spam"),
 ) -> list[BenchResult]:
     """Median wall time and pattern count per (miner, support).
 
-    Raises ``MinerMismatchError`` when the miners' pattern sets differ in any
+    Every miner in ``MINERS`` runs, in registry order.  Raises
+    ``MinerMismatchError`` when the miners' pattern sets differ in any
     pattern or support.
     """
-    miner_names = list(miners)
     if repeats < 1:
         raise InvalidConfigError("repeats must be >= 1")
     if not supports:
         raise InvalidConfigError("need at least one support level")
-    unknown = [m for m in miner_names if m not in MINERS]
-    if unknown:
-        raise InvalidConfigError(f"unknown miners: {unknown}; choose from {sorted(MINERS)}")
     n, avg, alphabet = dataset_stats(db)
     results: list[BenchResult] = []
     for support in supports:
         cfg = MinerConfig(min_support=support)
         min_count = cfg.resolve_min_count(n)
         found: dict[str, dict] = {}
-        for name in miner_names:
-            fn = MINERS[name]
+        for name, fn in MINERS.items():
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
@@ -102,7 +97,8 @@ def run_bench(
                     pattern_count=len(patterns),
                 )
             )
-        for previous, name in zip(miner_names, miner_names[1:]):
+        names = list(found)
+        for previous, name in zip(names, names[1:]):
             if found[name] != found[previous]:
                 differing = len(found[name].items() ^ found[previous].items())
                 raise MinerMismatchError(

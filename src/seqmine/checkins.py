@@ -12,7 +12,6 @@ near-simultaneous check-ins merge into a single element.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import re
 from collections import Counter
@@ -22,7 +21,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import ItemDictionary, SequenceDatabase
+from .core import SequenceDatabase
 from .errors import FormatError, InvalidConfigError
 
 CSV_HEADER = (
@@ -87,19 +86,6 @@ def _parse_timestamp(raw: str) -> datetime:
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
-
-
-def _as_text(source: str | Path | bytes | IO) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
 
 
 def _validate_row(fields: dict[str, str], seen_ids: set[str]) -> CheckIn | str:
@@ -177,19 +163,19 @@ _ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
 
 
 def parse_checkins(
-    source: str | Path | bytes | IO, format: str = "csv"
+    source: str | Path | IO[str], format: str = "csv"
 ) -> ParseResult:
-    """Read check-ins from a CSV or JSONL source.
+    """Read check-ins from a CSV or JSONL file path or text stream.
 
     Valid rows come back in file order; rows failing validation (bad
     timestamp, out-of-range coordinates, missing fields, duplicate ids) are
     collected with their line numbers instead of being silently dropped.
-    An unusable CSV header raises FormatError.
+    An unusable CSV header or a file that is not UTF-8 raises FormatError.
     """
     if format not in _ROW_READERS:
         raise ValueError("format must be 'csv' or 'jsonl'")
-    fp = _as_text(source)
     close = isinstance(source, (str, Path))
+    fp = open(source, "r", encoding="utf-8", newline="") if close else source
     try:
         checkins: list[CheckIn] = []
         rejects: list[RejectedRow] = []
@@ -201,6 +187,8 @@ def parse_checkins(
             else:
                 checkins.append(row)
         return ParseResult(tuple(checkins), tuple(rejects))
+    except UnicodeDecodeError:
+        raise FormatError("input is not UTF-8 text")
     finally:
         if close:
             fp.close()
@@ -223,16 +211,6 @@ class ActivityMap:
     """Ordered first-match-wins category classifier."""
 
     rules: tuple[ActivityRule, ...]
-    default_activity: str = DEFAULT_ACTIVITY
-
-    @property
-    def blocklist(self) -> tuple[str, ...]:
-        return tuple(r.pattern for r in self.rules if r.activity is None)
-
-    def activity_labels(self) -> tuple[str, ...]:
-        labels = {r.activity for r in self.rules if r.activity is not None}
-        labels.add(self.default_activity)
-        return tuple(sorted(labels))
 
     def first_match(self, category: str) -> ActivityRule | None:
         folded = category.casefold()
@@ -244,7 +222,7 @@ class ActivityMap:
     def match(self, category: str) -> str | None:
         """First matching rule's activity; None when dropped; default when unmatched."""
         rule = self.first_match(category)
-        return self.default_activity if rule is None else rule.activity
+        return DEFAULT_ACTIVITY if rule is None else rule.activity
 
 
 @dataclass(frozen=True)
@@ -265,7 +243,7 @@ class TagResult:
 def apply_activity_map(
     checkins: Iterable[CheckIn], activity_map: ActivityMap
 ) -> TagResult:
-    """Drop blocklisted categories, tag the rest with their activity."""
+    """Drop the categories a drop rule matches, tag the rest with their activity."""
     tagged: list[tuple[CheckIn, str]] = []
     dropped = 0
     unmatched: Counter = Counter()
@@ -273,7 +251,7 @@ def apply_activity_map(
         rule = activity_map.first_match(c.category)
         if rule is None:
             unmatched[c.category] += 1
-            tagged.append((c, activity_map.default_activity))
+            tagged.append((c, DEFAULT_ACTIVITY))
         elif rule.activity is None:
             dropped += 1
         else:
@@ -334,7 +312,7 @@ def resolve_timezone(name: str) -> timezone:
     text = name.strip()
     if text.upper() in ("UTC", "Z"):
         return timezone.utc
-    m = re.match(r"^([+-])(\d{2}):(\d{2})$", text)
+    m = re.match(r"^([+-])([01]\d|2[0-3]):([0-5]\d)$", text)
     if m:
         sign = 1 if m.group(1) == "+" else -1
         return timezone(sign * timedelta(hours=int(m.group(2)), minutes=int(m.group(3))))
@@ -436,14 +414,12 @@ def build_tourist_sequences(
 def build_sequences(
     groups: Groups,
     merge_resolution: timedelta | float = timedelta(0),
-    dictionary: ItemDictionary | None = None,
 ) -> SequenceDatabase:
     """Assemble the groups into a SequenceDatabase of activity sequences."""
     tourist_seqs = build_tourist_sequences(groups, merge_resolution)
     return SequenceDatabase.from_raw(
         [t.activities for t in tourist_seqs],
         [t.seq_id for t in tourist_seqs],
-        dictionary,
     )
 
 
@@ -492,7 +468,11 @@ def parse_config(text: str) -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
 
 
 def load_config(path: str | Path) -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text")
+    return parse_config(text)
 
 
 def default_config() -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
@@ -521,13 +501,12 @@ def run_pipeline(
     tz: timezone = timezone.utc,
     grouping: str = "window",
     merge_resolution: timedelta | float = timedelta(0),
-    include_unwindowed: bool = False,
 ) -> PipelineResult:
     """Tag, group and assemble check-ins into a sequence database.
 
     grouping 'window' produces one sequence per (user, window); 'trip' one
     per user across the whole stay.  Windowed mode discards the outside-all-
-    windows group unless include_unwindowed is set.
+    windows group.
     """
     if grouping not in ("window", "trip"):
         raise InvalidConfigError("grouping must be 'window' or 'trip'")
@@ -536,7 +515,6 @@ def run_pipeline(
         groups = group_by_user(tag_result.tagged)
     else:
         groups = segment_windows(tag_result.tagged, windows, tz)
-        if not include_unwindowed:
-            groups = {k: v for k, v in groups.items() if k[1] is not None}
+        groups = {k: v for k, v in groups.items() if k[1] is not None}
     db = build_sequences(groups, merge_resolution)
     return PipelineResult(db, tag_result, len(groups))

@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate
 from typing import IO, Iterable
 
 from .checkins import CSV_HEADER, CheckIn
@@ -123,25 +124,31 @@ DEFAULT_HOUR_WEIGHTS = (
     2.5, 1.0,
 )
 
+#: Trips start on one of N_DAYS days from START_DATE and last up to
+#: MAX_TRIP_DAYS days; check-ins fall in the LAT_RANGE x LON_RANGE box, with
+#: local times at UTC_OFFSET_MINUTES.
+START_DATE = date(2017, 3, 1)
+N_DAYS = 120
+MAX_TRIP_DAYS = 3
+LAT_RANGE = (1.24, 1.46)
+LON_RANGE = (103.60, 104.04)
+UTC_OFFSET_MINUTES = 480
+
+# Cumulative weights give random.choices the same draws as the weights
+# themselves, without summing the table again on every draw.
+_GENDER_CUM_WEIGHTS = tuple(accumulate(DEFAULT_GENDER_WEIGHTS))
+_HOUR_CUM_WEIGHTS = tuple(accumulate(DEFAULT_HOUR_WEIGHTS))
+_CATEGORY_CUM_WEIGHTS = tuple(accumulate(w for _, _, w in DEFAULT_CATEGORIES))
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for the synthetic corpus; defaults give the tourist shape."""
+    """Corpus size and trip lengths; defaults give the tourist shape."""
 
     n_users: int = 1057
     checkins_min: int = 8
     checkins_max: int = 10
     length_weights: tuple[tuple[int, float], ...] | None = None
-    categories: tuple[tuple[str, str, float], ...] = DEFAULT_CATEGORIES
-    origins: tuple[str, ...] = DEFAULT_ORIGINS
-    gender_weights: tuple[float, float, float] = DEFAULT_GENDER_WEIGHTS
-    start_date: date = date(2017, 3, 1)
-    n_days: int = 120
-    max_trip_days: int = 3
-    hour_weights: tuple[float, ...] = DEFAULT_HOUR_WEIGHTS
-    lat_range: tuple[float, float] = (1.24, 1.46)
-    lon_range: tuple[float, float] = (103.60, 104.04)
-    utc_offset_minutes: int = 480
 
     def __post_init__(self) -> None:
         if self.n_users < 0:
@@ -158,24 +165,6 @@ class GeneratorConfig:
                 raise InvalidConfigError(
                     "length_weights needs positive counts and weights"
                 )
-        if not self.categories or any(w <= 0 for _, _, w in self.categories):
-            raise InvalidConfigError("categories need positive weights")
-        if len(self.hour_weights) != 24 or any(w < 0 for w in self.hour_weights):
-            raise InvalidConfigError("hour_weights must be 24 non-negative values")
-        if sum(self.hour_weights) <= 0:
-            raise InvalidConfigError("hour_weights must not be all zero")
-        if len(self.gender_weights) != len(GENDERS) or any(
-            w <= 0 for w in self.gender_weights
-        ):
-            raise InvalidConfigError("gender_weights must be three positive values")
-        if not self.origins:
-            raise InvalidConfigError("origins must be non-empty")
-        if self.n_days < 1 or self.max_trip_days < 1:
-            raise InvalidConfigError("n_days and max_trip_days must be >= 1")
-        if not (-90 <= self.lat_range[0] <= self.lat_range[1] <= 90):
-            raise InvalidConfigError("bad lat_range")
-        if not (-180 <= self.lon_range[0] <= self.lon_range[1] <= 180):
-            raise InvalidConfigError("bad lon_range")
 
 
 SINGAPORE_SHAPE = GeneratorConfig()
@@ -195,39 +184,37 @@ def bms_shape(n_sequences: int = 30000) -> GeneratorConfig:
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> list[CheckIn]:
     """The full check-in list for (cfg, seed); same inputs, same output."""
     rng = random.Random(seed)
-    cat_weights = [w for _, _, w in cfg.categories]
-    hour_choices = range(24)
     if cfg.length_weights is not None:
         length_values = [k for k, _ in cfg.length_weights]
-        length_weights = [w for _, w in cfg.length_weights]
-    offset = timedelta(minutes=cfg.utc_offset_minutes)
-    base = datetime.combine(cfg.start_date, datetime.min.time())
+        length_cum_weights = list(accumulate(w for _, w in cfg.length_weights))
+    offset = timedelta(minutes=UTC_OFFSET_MINUTES)
+    base = datetime.combine(START_DATE, datetime.min.time())
     out: list[CheckIn] = []
     counter = 0
     for u in range(cfg.n_users):
         user_id = f"u{u:05d}"
-        gender = rng.choices(GENDERS, weights=cfg.gender_weights)[0]
-        origin = rng.choice(cfg.origins)
+        gender = rng.choices(GENDERS, cum_weights=_GENDER_CUM_WEIGHTS)[0]
+        origin = rng.choice(DEFAULT_ORIGINS)
         if cfg.length_weights is None:
             n = rng.randint(cfg.checkins_min, cfg.checkins_max)
         else:
-            n = rng.choices(length_values, weights=length_weights)[0]
-        first_day = rng.randrange(cfg.n_days)
-        trip_days = rng.randint(1, cfg.max_trip_days)
+            n = rng.choices(length_values, cum_weights=length_cum_weights)[0]
+        first_day = rng.randrange(N_DAYS)
+        trip_days = rng.randint(1, MAX_TRIP_DAYS)
         stamps = []
         for _ in range(n):
             day = first_day + rng.randrange(trip_days)
-            hour = rng.choices(hour_choices, weights=cfg.hour_weights)[0]
+            hour = rng.choices(range(24), cum_weights=_HOUR_CUM_WEIGHTS)[0]
             minute = rng.randrange(60)
             stamps.append(base + timedelta(days=day, hours=hour, minutes=minute))
         stamps.sort()
         for local in stamps:
             counter += 1
-            category, subcategory, _ = cfg.categories[
-                rng.choices(range(len(cfg.categories)), weights=cat_weights)[0]
-            ]
-            lat = round(rng.uniform(*cfg.lat_range), 6)
-            lon = round(rng.uniform(*cfg.lon_range), 6)
+            category, subcategory, _ = rng.choices(
+                DEFAULT_CATEGORIES, cum_weights=_CATEGORY_CUM_WEIGHTS
+            )[0]
+            lat = round(rng.uniform(*LAT_RANGE), 6)
+            lon = round(rng.uniform(*LON_RANGE), 6)
             out.append(
                 CheckIn(
                     checkin_id=f"c{counter:07d}",

@@ -68,12 +68,6 @@ class TestRunBench:
             run_bench(letters_db, [], repeats=1)
         with pytest.raises(InvalidConfigError):
             run_bench(letters_db, [2], repeats=0)
-        with pytest.raises(InvalidConfigError):
-            run_bench(letters_db, [2], miners=("prefixspan", "gsp"))
-
-    def test_single_miner(self, letters_db):
-        results = run_bench(letters_db, [2], repeats=1, miners=("spam",))
-        assert [r.miner for r in results] == ["spam"]
 
 
 class TestOutputs:

@@ -112,6 +112,18 @@ class TestMine:
         assert code == 3
         assert "no such file" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(
+            b"checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin\n"
+            b"c1,u1,2023-05-01T08:00:00Z,1.3,103.8,Caf\xff,,,\n"
+        )
+        code = main(["mine", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+        assert not any("Traceback" in line for line in err)
+
     def test_bad_header_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
@@ -137,6 +149,16 @@ class TestMine:
                      "--windows", str(winfile), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_non_utf8_activity_map_is_config_error(self, corpus_csv, tmp_path, capsys):
+        amap = tmp_path / "map.cfg"
+        amap.write_bytes(b"caf\xff = Dining\n")
+        code = main(["mine", "--input", str(corpus_csv), "--activity-map", str(amap),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+        assert not any("Traceback" in line for line in err)
 
     def test_rejects_reported_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.csv"

@@ -1,5 +1,7 @@
+import hashlib
 import io
 from collections import Counter
+from dataclasses import fields
 from datetime import timedelta, timezone
 
 import pytest
@@ -13,6 +15,7 @@ from seqmine import (
     parse_checkins,
     serialize_checkins,
 )
+from seqmine.synth import DEFAULT_CATEGORIES, LAT_RANGE, LON_RANGE, UTC_OFFSET_MINUTES
 
 SMALL = GeneratorConfig(n_users=60)
 
@@ -56,7 +59,7 @@ class TestTouristShape:
         )
 
     def test_category_marginals_track_weights(self, corpus):
-        weights = {cat: w for cat, _, w in SINGAPORE_SHAPE.categories}
+        weights = {cat: w for cat, _, w in DEFAULT_CATEGORIES}
         total_w = sum(weights.values())
         counts = Counter(c.category for c in corpus)
         assert counts.most_common(1)[0][0] == "Changi Airport"
@@ -73,13 +76,13 @@ class TestTouristShape:
         assert counts["undisclosed"] > 0
 
     def test_coordinates_in_bounding_box(self, corpus):
-        lat_lo, lat_hi = SINGAPORE_SHAPE.lat_range
-        lon_lo, lon_hi = SINGAPORE_SHAPE.lon_range
+        lat_lo, lat_hi = LAT_RANGE
+        lon_lo, lon_hi = LON_RANGE
         assert all(lat_lo <= c.lat <= lat_hi for c in corpus)
         assert all(lon_lo <= c.lon <= lon_hi for c in corpus)
 
     def test_waking_hours_dominate(self, corpus):
-        offset = timedelta(minutes=SINGAPORE_SHAPE.utc_offset_minutes)
+        offset = timedelta(minutes=UTC_OFFSET_MINUTES)
         hours = Counter((c.timestamp + offset).hour for c in corpus)
         night = sum(hours[h] for h in range(0, 6))
         assert night / len(corpus) < 0.02
@@ -109,6 +112,8 @@ class TestConfigValidation:
         {"length_weights": ()},
         {"length_weights": ((0, 1.0),)},
         {"length_weights": ((2, -1.0),)},
+        # The venue, hour, date, demographic and coordinate tables are module
+        # constants: GeneratorConfig refuses them as unknown keywords.
         {"categories": ()},
         {"categories": (("X", "Y", 0.0),)},
         {"hour_weights": (1.0,) * 23},
@@ -120,7 +125,8 @@ class TestConfigValidation:
         {"lon_range": (10.0, -10.0)},
     ])
     def test_rejected(self, kwargs):
-        with pytest.raises(InvalidConfigError):
+        known = kwargs.keys() <= {f.name for f in fields(GeneratorConfig)}
+        with pytest.raises(InvalidConfigError if known else TypeError):
             GeneratorConfig(**kwargs)
 
 
@@ -148,6 +154,18 @@ class TestSerializationRoundTrip:
             serialize_checkins(generate_synthetic(SMALL, seed=9), buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+    def test_pinned_digests(self):
+        # Any change to a table, a draw or the order of draws changes these.
+        for cfg, seed, fmt, digest in [
+            (SMALL, 5, "csv",
+             "f4fa9e3629c41173cc8567ff5cd93be9f54bdc68ae32f81c87190b4a1a161356"),
+            (bms_shape(300), 3, "jsonl",
+             "0503b95a053a4ba7c41443d96c9382c038e235f0cd31ae29df0994eab6a4342c"),
+        ]:
+            buf = io.StringIO()
+            serialize_checkins(generate_synthetic(cfg, seed), buf, format=fmt)
+            assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
