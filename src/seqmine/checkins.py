@@ -6,7 +6,7 @@ a reject report, activity tagging applies an ordered first-match-wins rule
 list (with a drop marker for categories excluded from analysis), window
 segmentation buckets records by local time of day, and sequence building
 turns each (user, window) group into one time-ordered sequence whose
-near-simultaneous check-ins merge into a single element.
+check-ins at the same instant form a single element.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -88,75 +89,78 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _validate_row(fields: dict[str, str], seen_ids: set[str]) -> CheckIn | str:
-    """The row as a CheckIn, or the reason it is rejected."""
-    for name in ("checkin_id", "user_id", "timestamp", "lat", "lon", "category"):
-        if not str(fields.get(name, "")).strip():
+def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
+    """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected."""
+    for name, value in zip(CSV_HEADER[:6], row):
+        if not str(value).strip():
             return f"missing {name}"
-    cid = str(fields["checkin_id"]).strip()
+    raw_id, user_id, raw_ts, lat, lon, category, subcategory, gender, origin = row
+    cid = str(raw_id).strip()
     if cid in seen_ids:
         return f"duplicate checkin_id {cid!r}"
     try:
-        ts = _parse_timestamp(str(fields["timestamp"]))
-    except ValueError:
-        return f"bad timestamp {fields['timestamp']!r}"
+        ts = _parse_timestamp(str(raw_ts))
+    except (ValueError, OverflowError):
+        return f"bad timestamp {raw_ts!r}"
     try:
-        lat = float(fields["lat"])
-        lon = float(fields["lon"])
-    except (TypeError, ValueError):
+        lat = float(lat)
+        lon = float(lon)
+    except (TypeError, ValueError, OverflowError):
         return "non-numeric coordinates"
     if not -90.0 <= lat <= 90.0:
         return "lat out of range"
     if not -180.0 <= lon <= 180.0:
         return "lon out of range"
-    gender = str(fields.get("gender") or "").strip() or None
-    origin = str(fields.get("origin") or "").strip() or None
     checkin = CheckIn(
         checkin_id=cid,
-        user_id=str(fields["user_id"]).strip(),
+        user_id=str(user_id).strip(),
         timestamp=ts,
         lat=lat,
         lon=lon,
-        category=str(fields["category"]).strip(),
-        subcategory=str(fields.get("subcategory") or "").strip(),
-        gender=gender,
-        origin=origin,
+        category=str(category).strip(),
+        subcategory=str(subcategory or "").strip(),
+        gender=str(gender or "").strip() or None,
+        origin=str(origin or "").strip() or None,
     )
     seen_ids.add(cid)
     return checkin
 
 
-def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, dict[str, str] | str]]:
+def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, list[str] | str]]:
     """Each non-blank row's line number and its fields, or why it is rejected."""
     reader = csv.reader(fp)
     try:
         header = next(reader)
+        if tuple(h.strip() for h in header) != CSV_HEADER:
+            raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(CSV_HEADER):
+                yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+            else:
+                yield reader.line_num, row
     except StopIteration:
         raise FormatError("empty input: missing CSV header")
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(CSV_HEADER):
-            yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
-        else:
-            yield reader.line_num, dict(zip(CSV_HEADER, row))
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}")
 
 
-def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, dict[str, str] | str]]:
+def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
+    """Each non-blank line's number and its fields in CSV_HEADER order, or why
+    it is rejected; a missing or null field reads as empty."""
     for line_no, line in enumerate(fp, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             yield line_no, "invalid JSON"
             continue
         if not isinstance(obj, dict):
             yield line_no, "expected a JSON object"
         else:
-            yield line_no, {k: ("" if v is None else v) for k, v in obj.items()}
+            yield line_no, ["" if (v := obj.get(k)) is None else v for k in CSV_HEADER]
 
 
 _ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
@@ -332,16 +336,16 @@ def segment_windows(
     """Bucket tagged check-ins into (user, window-name) groups by local time.
 
     A check-in joins every window containing its local time (windows may
-    overlap); one outside all windows joins the (user, None) group.
+    overlap); one outside all windows joins no group.
     """
     window_list = list(windows)
     groups: Groups = {}
     for c, activity in tagged:
         local = c.timestamp.astimezone(tz)
         minute = local.hour * 60 + local.minute
-        hits = [w.name for w in window_list if w.contains(minute)]
-        for key in [(c.user_id, h) for h in hits] or [(c.user_id, None)]:
-            groups.setdefault(key, []).append((c, activity))
+        for w in window_list:
+            if w.contains(minute):
+                groups.setdefault((c.user_id, w.name), []).append((c, activity))
     return groups
 
 
@@ -370,53 +374,27 @@ class TouristSequence:
         return self.user_id if self.window is None else f"{self.user_id}|{self.window}"
 
 
-def _coerce_resolution(merge_resolution: timedelta | float) -> timedelta:
-    if not isinstance(merge_resolution, timedelta):
-        merge_resolution = timedelta(seconds=merge_resolution)
-    if merge_resolution < timedelta(0):
-        raise InvalidConfigError("merge_resolution must be >= 0")
-    return merge_resolution
-
-
-def build_tourist_sequences(
-    groups: Groups, merge_resolution: timedelta | float = timedelta(0)
-) -> list[TouristSequence]:
+def build_tourist_sequences(groups: Groups) -> list[TouristSequence]:
     """One TouristSequence per group, groups ordered by (user, window).
 
-    Within a group, check-ins sort by timestamp (id as tie-break for
-    determinism); a check-in lands in the current element while its
-    timestamp is within merge_resolution of the element's first (anchor)
-    timestamp, otherwise it opens a new element.
+    Within a group, check-ins sort by timestamp, and the activities of the
+    check-ins at one instant form one element, so the order of check-ins
+    at the same instant does not matter.
     """
-    resolution = _coerce_resolution(merge_resolution)
     out = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        records = sorted(
-            groups[(user_id, window)], key=lambda r: (r[0].timestamp, r[0].checkin_id)
+        records = sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp)
+        elements = tuple(
+            tuple(sorted({activity for _, activity in same_instant}))
+            for _, same_instant in groupby(records, key=lambda r: r[0].timestamp)
         )
-        elements: list[tuple[str, ...]] = []
-        current: set[str] = set()
-        anchor: datetime | None = None
-        for c, activity in records:
-            if anchor is not None and c.timestamp - anchor <= resolution:
-                current.add(activity)
-            else:
-                if current:
-                    elements.append(tuple(sorted(current)))
-                current = {activity}
-                anchor = c.timestamp
-        if current:
-            elements.append(tuple(sorted(current)))
-        out.append(TouristSequence(user_id, window, tuple(elements)))
+        out.append(TouristSequence(user_id, window, elements))
     return out
 
 
-def build_sequences(
-    groups: Groups,
-    merge_resolution: timedelta | float = timedelta(0),
-) -> SequenceDatabase:
+def build_sequences(groups: Groups) -> SequenceDatabase:
     """Assemble the groups into a SequenceDatabase of activity sequences."""
-    tourist_seqs = build_tourist_sequences(groups, merge_resolution)
+    tourist_seqs = build_tourist_sequences(groups)
     return SequenceDatabase.from_raw(
         [t.activities for t in tourist_seqs],
         [t.seq_id for t in tourist_seqs],
@@ -500,13 +478,12 @@ def run_pipeline(
     windows: Iterable[WindowSpec] = DEFAULT_WINDOWS,
     tz: timezone = timezone.utc,
     grouping: str = "window",
-    merge_resolution: timedelta | float = timedelta(0),
 ) -> PipelineResult:
     """Tag, group and assemble check-ins into a sequence database.
 
-    grouping 'window' produces one sequence per (user, window); 'trip' one
-    per user across the whole stay.  Windowed mode discards the outside-all-
-    windows group.
+    grouping 'window' produces one sequence per (user, window), leaving out
+    the check-ins outside every window; 'trip' one per user across the whole
+    stay.
     """
     if grouping not in ("window", "trip"):
         raise InvalidConfigError("grouping must be 'window' or 'trip'")
@@ -515,6 +492,5 @@ def run_pipeline(
         groups = group_by_user(tag_result.tagged)
     else:
         groups = segment_windows(tag_result.tagged, windows, tz)
-        groups = {k: v for k, v in groups.items() if k[1] is not None}
-    db = build_sequences(groups, merge_resolution)
+    db = build_sequences(groups)
     return PipelineResult(db, tag_result, len(groups))

@@ -83,9 +83,7 @@ def _load_analysis_config(args) -> tuple:
         else:
             windows = file_windows or DEFAULT_WINDOWS
         return amap, windows
-    except FileNotFoundError as exc:
-        raise InvalidConfigError(f"--activity-map/--windows: {exc}")
-    except FormatError as exc:
+    except (OSError, FormatError) as exc:
         raise InvalidConfigError(f"--activity-map/--windows: {exc}")
 
 

@@ -62,18 +62,15 @@ class MinerConfig:
     ``min_support`` is an absolute sequence count when given as an int and a
     relative fraction in (0, 1] when given as a float (converted once via
     ceil(fraction * database size)).  ``max_length`` caps the total item
-    count of a pattern; ``min_pattern_length`` is a reporting floor.
+    count of a pattern.
     """
 
     min_support: int | float = 2
     max_length: int | None = None
-    min_pattern_length: int = 1
 
     def __post_init__(self) -> None:
         if self.max_length is not None and self.max_length < 1:
             raise InvalidConfigError("max_length must be >= 1 when set")
-        if self.min_pattern_length < 1:
-            raise InvalidConfigError("min_pattern_length must be >= 1")
 
     def resolve_min_count(self, n_sequences: int) -> int:
         """Convert min_support to an absolute count for a given database size."""
@@ -324,10 +321,8 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     def grow(pdb: ProjectedDatabase) -> None:
         for ext in frequent_extensions(pdb, min_count):
             child = project(pdb, ext)
-            length = child.prefix.item_count
-            if length >= cfg.min_pattern_length:
-                patterns.append(Pattern(child.prefix, ext.count))
-            if cfg.max_length is None or length < cfg.max_length:
+            patterns.append(Pattern(child.prefix, ext.count))
+            if cfg.max_length is None or child.prefix.item_count < cfg.max_length:
                 grow(child)
 
     grow(ProjectedDatabase.root(db))

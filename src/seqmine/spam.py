@@ -157,7 +157,6 @@ def mine_spam(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     supports = [index.support(bm) for bm in item_bms]
     top = [i for i in range(index.n_items) if supports[i] >= min_count]
     max_length = cfg.max_length
-    min_len = cfg.min_pattern_length
 
     patterns: list[Pattern] = []
 
@@ -168,10 +167,8 @@ def mine_spam(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
         s_cands: list[int],
         i_cands: list[int],
     ) -> None:
-        item_count = sum(len(e) for e in elems)
-        if item_count >= min_len:
-            patterns.append(Pattern(Sequence(tuple(elems)), support))
-        if max_length is not None and item_count >= max_length:
+        patterns.append(Pattern(Sequence(tuple(elems)), support))
+        if max_length is not None and sum(len(e) for e in elems) >= max_length:
             return
         trans = index.s_transform(bm)
         s_next = []

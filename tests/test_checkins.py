@@ -1,7 +1,12 @@
+import csv
 import io
+import json
+from collections import Counter
 from datetime import datetime, timedelta, timezone
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqmine import (
     ActivityMap,
@@ -9,17 +14,22 @@ from seqmine import (
     CheckIn,
     FormatError,
     InvalidConfigError,
+    MinerConfig,
     WindowSpec,
     apply_activity_map,
+    build_report,
     build_sequences,
     build_tourist_sequences,
     default_config,
+    mine,
     parse_checkins,
     parse_config,
     run_pipeline,
     segment_windows,
+    write_report_csv,
+    write_report_jsonl,
 )
-from seqmine.checkins import DEFAULT_WINDOWS, group_by_user, resolve_timezone
+from seqmine.checkins import CSV_HEADER, DEFAULT_WINDOWS, group_by_user, resolve_timezone
 
 HEADER = "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin"
 
@@ -68,6 +78,7 @@ class TestParseCsv:
             "c5,u1,2023-05-01T08:00:00Z,1.35,103.99,Park,,,",
             "c5,u1,2023-05-01T09:00:00Z,1.35,103.99,Park,,,",      # line 7
             "c6,u1,2023-05-01T08:00:00Z,x,103.99,Park,,,",         # line 8
+            "c7,u1,0001-01-01T00:00:00+01:00,1.35,103.99,Park,,,", # line 9
         ))
         assert [(r.line_no, r.reason) for r in result.rejects] == [
             (2, "lat out of range"),
@@ -76,6 +87,7 @@ class TestParseCsv:
             (5, "lon out of range"),
             (7, "duplicate checkin_id 'c5'"),
             (8, "non-numeric coordinates"),
+            (9, "bad timestamp '0001-01-01T00:00:00+01:00'"),  # before year 1 in UTC
         ]
         assert [c.checkin_id for c in result] == ["c5"]
 
@@ -177,8 +189,8 @@ class TestWindows:
             (ci(ts="2023-05-01T14:00:00+08:00"), "Shopping"),
         ]
         groups = segment_windows(tagged, DEFAULT_WINDOWS, tz)
+        # the 05:59 check-in is in no group
         assert {k: [a for _, a in v] for k, v in groups.items()} == {
-            ("u1", None): ["Nature"],
             ("u1", "morning"): ["Dining"],
             ("u1", "afternoon"): ["Shopping"],
         }
@@ -213,14 +225,17 @@ class TestSequenceAssembly:
         assert seq.seq_id == "u1|morning"
 
     def test_merge_resolution_window_anchors_at_first(self):
+        # Only check-ins at the same instant share an element; the merge
+        # window is not a setting, so passing one fails loudly.
         groups = {("u1", None): [
             (ci(ts="2023-05-01T08:00:00+00:00", cid="a"), "A"),
             (ci(ts="2023-05-01T08:00:50+00:00", cid="b"), "B"),
             (ci(ts="2023-05-01T08:01:50+00:00", cid="c"), "C"),
         ]}
-        (seq,) = build_tourist_sequences(groups, merge_resolution=60)
-        # c is 110s past the anchor a, so it opens a new element
-        assert seq.activities == (("A", "B"), ("C",))
+        (seq,) = build_tourist_sequences(groups)
+        assert seq.activities == (("A",), ("B",), ("C",))
+        with pytest.raises(TypeError):
+            build_tourist_sequences(groups, merge_resolution=60)
 
     def test_duplicate_activity_in_element_collapses(self):
         groups = {("u1", None): [
@@ -231,8 +246,13 @@ class TestSequenceAssembly:
         assert seq.activities == (("Nature",),)
 
     def test_negative_resolution_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        # No entry point takes a merge window.
+        with pytest.raises(TypeError):
             build_tourist_sequences({}, merge_resolution=-1)
+        with pytest.raises(TypeError):
+            build_sequences({}, merge_resolution=-1)
+        with pytest.raises(TypeError):
+            run_pipeline([], ActivityMap(()), merge_resolution=-1)
 
     def test_database_assembly(self):
         groups = {
@@ -316,3 +336,159 @@ class TestRunPipeline:
         tagged = apply_activity_map(self.CHECKINS, self.MAP)
         groups = group_by_user(tagged.tagged)
         assert set(groups) == {("u1", None)}
+
+
+# ---------------------------------------------------------------------------
+# ingest properties
+
+_window_lists = st.lists(
+    st.integers(0, 24 * 60 - 1).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(start + 1, 24 * 60))
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda spans: tuple(WindowSpec(f"w{i}", a, b) for i, (a, b) in enumerate(spans)))
+
+# Labels without ASCII, control or separator characters: no whitespace for
+# the parser to strip and no glob, CSV or rendering punctuation.
+_non_ascii_labels = st.text(
+    st.characters(min_codepoint=0x80, exclude_categories=("C", "Z")), min_size=2, max_size=6
+)
+
+
+class TestIngestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows=_window_lists,
+        visits=st.lists(
+            st.tuples(st.sampled_from(("u1", "u2", "u3")), st.integers(0, 2 * 24 * 60 - 1)),
+            max_size=30,
+        ),
+        offset=st.sampled_from((0, 8 * 60, -(5 * 60 + 30))),
+    )
+    def test_overlapping_windows(self, windows, visits, offset):
+        # Each check-in lands once in every window holding its local minute
+        # and in no other; one sequence per (user, window) hit.
+        tz = timezone(timedelta(minutes=offset))
+        base = datetime(2023, 5, 1, tzinfo=timezone.utc)
+        checkins = [
+            CheckIn(f"c{i}", user, base + timedelta(minutes=m), 1.3, 103.8, "Park")
+            for i, (user, m) in enumerate(visits)
+        ]
+        groups = segment_windows([(c, "Nature") for c in checkins], windows, tz)
+        landed = Counter(
+            (c.checkin_id, window)
+            for (_, window), members in groups.items()
+            for c, _ in members
+        )
+        expected = Counter()
+        hits = set()
+        for c, (user, m) in zip(checkins, visits):
+            local = (m + offset) % (24 * 60)
+            for w in windows:
+                if w.start_minute <= local < w.end_minute:
+                    expected[(c.checkin_id, w.name)] += 1
+                    hits.add((user, w.name))
+        assert landed == expected
+        assert set(groups) == hits
+        result = run_pipeline(checkins, ActivityMap(()), windows=windows, tz=tz)
+        assert len(result.database) == result.n_groups == len(hits)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(_non_ascii_labels, _non_ascii_labels),
+            min_size=2,
+            max_size=4,
+            unique_by=(lambda p: p[0].casefold(), lambda p: p[1]),
+        )
+    )
+    def test_non_ascii_labels_round_trip(self, pairs):
+        # Three tourists visit the categories in order on one morning, so
+        # every ordered subsequence of the activities is a pattern.
+        categories = [cat for cat, _ in pairs]
+        activities = [act for _, act in pairs]
+        lines = [HEADER] + [
+            f"{user}-{i},{user},2023-05-01T{8 + i:02d}:00:00Z,1.3,103.8,{cat},,,"
+            for user in ("u1", "u2", "u3")
+            for i, cat in enumerate(categories)
+        ]
+        source = io.TextIOWrapper(
+            io.BytesIO(("\n".join(lines) + "\n").encode("utf-8")), encoding="utf-8", newline=""
+        )
+        parsed = parse_checkins(source)
+        assert [c.category for c in parsed] == categories * 3
+        amap = ActivityMap(tuple(ActivityRule(cat, act) for cat, act in pairs))
+        db = run_pipeline(parsed.checkins, amap, tz=timezone.utc).database
+        patterns = mine(db, MinerConfig(min_support=2))
+        report = build_report(patterns, db, n_activities=None)
+
+        chains = [
+            sub for n in range(1, len(activities) + 1)
+            for sub in combinations(activities, n)
+        ]
+        out = io.StringIO()
+        patterns.to_csv(out)
+        assert {row[0] for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]} == {
+            ",".join(f"({a})" for a in chain) for chain in chains
+        }
+        out = io.StringIO()
+        patterns.to_jsonl(out)
+        assert {
+            tuple(map(tuple, json.loads(line)["pattern"]))
+            for line in out.getvalue().splitlines()
+        } == {tuple((a,) for a in chain) for chain in chains}
+
+        rendered = {" > ".join(chain) for chain in chains if len(chain) >= 2}
+        out = io.StringIO()
+        write_report_csv(report, out)
+        assert {row[0] for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]} == rendered
+        out = io.StringIO()
+        write_report_jsonl(report, out)
+        assert {
+            json.loads(line)["activity_sequence"] for line in out.getvalue().splitlines()
+        } == rendered
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.fixed_dictionaries({
+                "checkin_id": st.sampled_from(("c1", "c2", "c3", "", " ")),
+                "user_id": st.sampled_from(("u1", "ü2", "")),
+                "timestamp": st.sampled_from((
+                    "2023-05-01T08:00:00Z", "2023-05-01T09:30:00+08:00",
+                    " 2023-05-01T08:00:00 ", "not-a-time", "2023-13-01T00:00:00", "",
+                )),
+                "lat": st.sampled_from(("1.3", "-90", "95", "nan", "1e400", "x", "")),
+                "lon": st.sampled_from(("103.8", "181", "y", "")),
+                "category": st.sampled_from(("Park", "Café", "")),
+                "subcategory": st.sampled_from(("", "City Park")),
+                "gender": st.sampled_from(("", "female")),
+                "origin": st.sampled_from(("SG", "MY")),
+            }),
+            max_size=12,
+        ),
+        empty_as=st.sampled_from(("empty", "null", "absent")),
+    )
+    def test_csv_and_jsonl_reject_alike(self, rows, empty_as):
+        # The same rows give the same records and (line_no, reason) lists in
+        # both formats.  The JSONL opens with a blank line, so its records
+        # sit on the same line numbers as the CSV rows below their header.
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([[row[k] for k in CSV_HEADER] for row in rows])
+        from_csv = parse_checkins(io.StringIO(out.getvalue()))
+
+        def as_json(row):
+            if empty_as == "absent":
+                return json.dumps({k: v for k, v in row.items() if v})
+            return json.dumps({k: v or (None if empty_as == "null" else v)
+                               for k, v in row.items()})
+
+        jsonl = "\n" + "".join(as_json(row) + "\n" for row in rows)
+        from_jsonl = parse_checkins(io.StringIO(jsonl), format="jsonl")
+        assert from_csv.checkins == from_jsonl.checkins
+        assert [(r.line_no, r.reason) for r in from_csv.rejects] == [
+            (r.line_no, r.reason) for r in from_jsonl.rejects
+        ]

@@ -160,6 +160,44 @@ class TestMine:
         assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
         assert not any("Traceback" in line for line in err)
 
+    @pytest.mark.parametrize("flag", ["--activity-map", "--windows"])
+    def test_directory_config_is_config_error(self, corpus_csv, tmp_path, capsys, flag):
+        code = main(["mine", "--input", str(corpus_csv), flag, str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --activity-map/--windows:")
+        assert not any("Traceback" in line for line in err)
+
+    def test_overlong_csv_field_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin\n"
+            "c1,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,\n"
+            f"c2,u1,2023-05-01T09:00:00Z,1.3,103.8,{'x' * 131073},,,\n"
+        )
+        code = main(["mine", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --input: line 3: field larger")
+        assert not any("Traceback" in line for line in err)
+
+    @pytest.mark.parametrize("lat,reason", [
+        ("1" * 4301, "invalid JSON"),             # past int's digit limit
+        ("1" * 400, "non-numeric coordinates"),   # too large for a float
+        ("[" * 100000 + "]" * 100000, "invalid JSON"),  # past the nesting limit
+    ], ids=["digits", "overflow", "nesting"])
+    def test_unreadable_json_number_is_rejected(self, tmp_path, capsys, lat, reason):
+        row = ('{{"checkin_id":"{}","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":{},"lon":103.8,"category":"Park"}}\n')
+        path = tmp_path / "c.jsonl"
+        path.write_text(row.format("c1", "1.3") + row.format("c2", lat))
+        code = main(["mine", "--input", str(path), "--min-support", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"rejected line 2: {reason}"]
+
     def test_rejects_reported_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.csv"
         path.write_text(

@@ -45,7 +45,8 @@ class TestMinerConfig:
     def test_invalid_lengths_rejected(self):
         with pytest.raises(InvalidConfigError):
             MinerConfig(max_length=0)
-        with pytest.raises(InvalidConfigError):
+        # The reporting floor is not a setting: every pattern is reported.
+        with pytest.raises(TypeError):
             MinerConfig(min_pattern_length=0)
 
 
@@ -223,13 +224,12 @@ class TestConfigEffects:
         assert {p.render(letters_db.dictionary) for p in ps} == set("abcdef")
 
     def test_min_pattern_length_is_reporting_floor(self, letters_db):
+        # No floor: the single items are patterns too.
         full = mine(letters_db, MinerConfig(min_support=2))
-        floored = mine(letters_db, MinerConfig(min_support=2, min_pattern_length=2))
-        long_only = {
-            k: v for k, v in full.as_dict().items()
-            if sum(len(e) for e in k) >= 2
-        }
-        assert floored.as_dict() == long_only
+        singles = {k for k in full.as_dict() if sum(len(e) for e in k) == 1}
+        assert len(singles) == 6
+        with pytest.raises(TypeError):
+            MinerConfig(min_support=2, min_pattern_length=2)
 
     def test_threshold_above_database_size(self, letters_db):
         assert len(mine(letters_db, MinerConfig(min_support=5))) == 0

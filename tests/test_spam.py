@@ -152,8 +152,11 @@ class TestMineSpam:
         assert list(mine(digits_db, cfg)) == list(mine_spam(digits_db, cfg))
 
     def test_reporting_floor(self, letters_db):
-        cfg = MinerConfig(min_support=2, min_pattern_length=3)
+        # Neither miner has a reporting floor; the setting is refused by name.
+        cfg = MinerConfig(min_support=2, max_length=3)
         assert list(mine(letters_db, cfg)) == list(mine_spam(letters_db, cfg))
+        with pytest.raises(TypeError):
+            MinerConfig(min_support=2, min_pattern_length=3)
 
     def test_empty_database(self):
         db = SequenceDatabase.from_raw([])
