@@ -79,6 +79,12 @@ class ParseResult:
         return len(self.checkins)
 
 
+# Every supported zone is less than a day from UTC, so an instant at least a
+# day inside datetime's range has a local time in each of them.
+_FIRST_INSTANT = datetime.min.replace(tzinfo=timezone.utc) + timedelta(days=1)
+_LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc) - timedelta(days=1)
+
+
 def _parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):
@@ -86,7 +92,10 @@ def _parse_timestamp(raw: str) -> datetime:
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    ts = ts.astimezone(timezone.utc)
+    if not _FIRST_INSTANT <= ts <= _LAST_INSTANT:
+        raise ValueError("no local time in every supported zone")
+    return ts
 
 
 def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
@@ -247,12 +256,19 @@ class TagResult:
 def apply_activity_map(
     checkins: Iterable[CheckIn], activity_map: ActivityMap
 ) -> TagResult:
-    """Drop the categories a drop rule matches, tag the rest with their activity."""
+    """Drop the categories a drop rule matches, tag the rest with their activity.
+
+    Each distinct category is matched against the rules once per call;
+    ``dropped`` and ``unmatched`` still count check-ins.
+    """
     tagged: list[tuple[CheckIn, str]] = []
     dropped = 0
     unmatched: Counter = Counter()
+    rule_of: dict[str, ActivityRule | None] = {}
     for c in checkins:
-        rule = activity_map.first_match(c.category)
+        if c.category not in rule_of:
+            rule_of[c.category] = activity_map.first_match(c.category)
+        rule = rule_of[c.category]
         if rule is None:
             unmatched[c.category] += 1
             tagged.append((c, DEFAULT_ACTIVITY))

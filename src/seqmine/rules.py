@@ -8,6 +8,11 @@ Three numbers describe a pattern here:
 * frequency: total occurrences, counted as distinct minimal windows so a
   sequence that performs the pattern several times contributes several times,
   while overlapping restatements of the same occurrence do not inflate it.
+
+``build_report`` counts frequencies over candidate sequences only: one
+vertical id-list per item (the indices of the sequences holding it, as in
+Zaki's SPADE) is built per call, and a pattern's candidates are the
+intersection of its items' id-lists.
 """
 
 from __future__ import annotations
@@ -101,19 +106,33 @@ def build_report(
     elements does.  Rows sort by ``sort_key`` descending, ties broken by the
     rendered activity string, truncated to ``top_k``; a negative ``top_k``
     raises InvalidConfigError.
+
+    Frequencies, and the antecedent counts of a ``PatternSet`` that lacks
+    them, are counted over candidates only: the sequences that hold every
+    item of the pattern, from per-item id-lists built once per call.
     """
     if sort_key not in VALID_SORT_KEYS:
         raise ValueError(f"sort_key must be one of {VALID_SORT_KEYS}")
     if top_k is not None and top_k < 0:
         raise InvalidConfigError(f"top_k must be >= 0, got {top_k}")
     supports = patterns.as_dict()
+    id_lists: dict[int, set[int]] = {}
+    for i, s in enumerate(db.sequences):
+        for item in {item for elem in s.elements for item in elem}:
+            id_lists.setdefault(item, set()).add(i)
+
+    def candidates(p: Sequence) -> list[Sequence]:
+        items = {item for elem in p.elements for item in elem}
+        lists = sorted((id_lists.get(item, set()) for item in items), key=len)
+        return [db.sequences[i] for i in lists[0].intersection(*lists[1:])]
 
     def antecedent_count(p: Pattern) -> int:
         ante = p.sequence.elements[:-1]
         hit = supports.get(ante)
         if hit is not None:
             return hit
-        return pattern_support(db, Sequence(ante))[0]
+        ante_seq = Sequence(ante)
+        return sum(_match(s, ante_seq) is not None for s in candidates(ante_seq))
 
     rows = []
     for p in patterns:
@@ -132,7 +151,9 @@ def build_report(
             RuleRow(
                 pattern=p,
                 activity_sequence=_render_activities(p, patterns),
-                frequency=pattern_frequency(db, p.sequence),
+                frequency=sum(
+                    count_minimal_occurrences(s, p.sequence) for s in candidates(p.sequence)
+                ),
                 support=p.support_count / len(db) if len(db) else 0.0,
                 confidence=p.support_count / denom,
             )

@@ -162,6 +162,29 @@ class TestActivityMap:
         assert tagged.dropped == 1
         assert tagged.unmatched == {"Bowling Alley": 1}
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(
+        st.sampled_from((
+            "Museum", "Changi Airport", "Asian Restaurant", "French Restaurant",
+            "Park", "Bowling Alley", "Zoo",
+        )).flatmap(lambda c: st.sampled_from((c, c.lower(), c.upper()))),
+        max_size=40,
+    ))
+    def test_apply_matches_per_checkin_tagging(self, categories):
+        # Museum varies in case against a lower-case rule; Bowling Alley and
+        # Zoo match no rule, Changi Airport a drop rule.
+        amap = ActivityMap((*self.MAP.rules, ActivityRule("museum", "Culture")))
+        checkins = [ci(cat=cat, cid=f"c{i}") for i, cat in enumerate(categories)]
+        activities = [amap.match(c.category) for c in checkins]
+        result = apply_activity_map(checkins, amap)
+        assert result.tagged == tuple(
+            (c, a) for c, a in zip(checkins, activities) if a is not None
+        )
+        assert result.dropped == activities.count(None)
+        assert result.unmatched == Counter(
+            c.category for c in checkins if amap.first_match(c.category) is None
+        )
+
 
 class TestWindows:
     def test_half_open_boundaries(self):

@@ -198,6 +198,25 @@ class TestMine:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"rejected line 2: {reason}"]
 
+    @pytest.mark.parametrize("timestamp,tz", [
+        ("9999-12-31T23:59:00Z", None),       # local time past datetime.max at +08:00
+        ("0001-01-01T00:00:00Z", "-05:00"),   # local time before datetime.min
+    ], ids=["max", "min"])
+    def test_instant_without_local_time_is_rejected(self, tmp_path, capsys, timestamp, tz):
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin\n"
+            f"c1,u1,{timestamp},1.3,103.8,Park,,,\n"
+        )
+        argv = ["mine", "--input", str(path), "--out", str(tmp_path / "out")]
+        if tz is not None:
+            argv.append(f"--tz={tz}")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"rejected line 2: bad timestamp {timestamp!r}"]
+        assert "Traceback" not in err
+        assert "sequences=0" in out
+
     def test_rejects_reported_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.csv"
         path.write_text(

@@ -19,6 +19,7 @@ from seqmine import (
     write_report_jsonl,
 )
 from seqmine.core import Sequence, canonicalize
+from seqmine.prefixspan import Pattern, PatternSet
 from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
 
 import oracle
@@ -163,6 +164,63 @@ class TestBuildReport:
         ps = mine(digits_db, MinerConfig(min_support=3, max_length=3))
         for r in build_report(ps, digits_db):
             assert r.confidence == rule_confidence(digits_db, r.pattern.sequence)
+
+
+class TestIndexedReport:
+    """build_report counts over per-item id-list candidates; the plain scans
+    pattern_frequency and pattern_support are the reference."""
+
+    @staticmethod
+    def assert_rows_match_scans(rows, db):
+        for r in rows:
+            p = r.pattern.sequence
+            assert r.frequency == pattern_frequency(db, p)
+            denom, _ = pattern_support(db, Sequence(p.elements[:-1]))
+            assert r.confidence == r.pattern.support_count / denom
+
+    @staticmethod
+    def random_database(seed):
+        # Items 0-3 only, in elements of one to three items: ids 4 and 5 are
+        # in the dictionary but no sequence holds them.
+        rng = random.Random(seed)
+        return as_database(oracle.random_db(rng, max_seqs=8, max_elems=6, alphabet=4),
+                           alphabet=6)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_scans(self, seed):
+        db = self.random_database(seed)
+        ps = mine(db, MinerConfig(min_support=2, max_length=5))
+        for n_activities in (3, None):
+            self.assert_rows_match_scans(build_report(ps, db, n_activities=n_activities), db)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_pattern_set_falls_back(self, seed):
+        # Keeping only three-element patterns drops every row's antecedent.
+        db = self.random_database(seed)
+        ps = mine(db, MinerConfig(min_support=2, max_length=5))
+        kept = tuple(p for p in ps if len(p.sequence.elements) == 3)
+        filtered = PatternSet(kept, ps.n_sequences, ps.dictionary)
+        rows = build_report(filtered, db, n_activities=None)
+        assert len(rows) == len(kept)
+        self.assert_rows_match_scans(rows, db)
+
+    def test_hand_built_patterns_with_absent_items(self):
+        db = as_database([((0,), (1, 2)), ((1,), (0,), (2,))], alphabet=4)
+        ps = PatternSet((
+            Pattern(Sequence(((0,), (2,))), 2),    # antecedent <(0)> not in the set
+            Pattern(Sequence(((1, 2), (3,))), 0),  # item 3 is in no sequence
+        ), len(db), db.dictionary)
+        rows = build_report(ps, db, n_activities=None)
+        assert [(r.frequency, r.confidence) for r in rows] == [(2, 1.0), (0, 0.0)]
+        self.assert_rows_match_scans(rows, db)
+
+    def test_absent_antecedent_is_undefined(self):
+        db = as_database([((0,), (1, 2)), ((1,), (0,), (2,))], alphabet=4)
+        ps = PatternSet((Pattern(Sequence(((3,), (0,))), 0),), len(db), db.dictionary)
+        with pytest.raises(UndefinedConfidenceError):
+            build_report(ps, db, n_activities=None)
 
 
 class TestReportSerialization:
