@@ -107,9 +107,8 @@ def build_report(
     rendered activity string, truncated to ``top_k``; a negative ``top_k``
     raises InvalidConfigError.
 
-    Frequencies, and the antecedent counts of a ``PatternSet`` that lacks
-    them, are counted over candidates only: the sequences that hold every
-    item of the pattern, from per-item id-lists built once per call.
+    Frequencies are counted over candidates only: the sequences that hold
+    every item of the pattern, from per-item id-lists built once per call.
     """
     if sort_key not in VALID_SORT_KEYS:
         raise ValueError(f"sort_key must be one of {VALID_SORT_KEYS}")
@@ -131,8 +130,7 @@ def build_report(
         hit = supports.get(ante)
         if hit is not None:
             return hit
-        ante_seq = Sequence(ante)
-        return sum(_match(s, ante_seq) is not None for s in candidates(ante_seq))
+        return pattern_support(db, Sequence(ante))[0]
 
     rows = []
     for p in patterns:

@@ -91,6 +91,20 @@ class TestParseCsv:
         ]
         assert [c.checkin_id for c in result] == ["c5"]
 
+    @pytest.mark.parametrize("raw, accepted", [
+        ("0001-01-01T23:59:59.999999Z", False),
+        ("0001-01-02T00:00:00Z", True),
+        ("9999-12-30T23:59:59.999999Z", True),
+        ("9999-12-31T00:00:00Z", False),
+    ])
+    def test_instants_a_day_from_the_datetime_range_ends(self, raw, accepted):
+        # The bound is on the UTC instant, whatever zone or grouping follows.
+        result = parse_checkins(csv_source(f"c1,u1,{raw},1.35,103.99,Park,,,"))
+        assert len(result) == int(accepted)
+        assert [r.reason for r in result.rejects] == (
+            [] if accepted else [f"bad timestamp '{raw}'"]
+        )
+
     def test_wrong_field_count_rejected(self):
         result = parse_checkins(csv_source("c1,u1,2023-05-01T08:00:00Z,1.0,2.0"))
         assert result.rejects[0].reason.startswith("expected 9 fields")
