@@ -66,11 +66,9 @@ from .checkins import (
     ParseResult,
     PipelineResult,
     TagResult,
-    TouristSequence,
     WindowSpec,
     apply_activity_map,
     build_sequences,
-    build_tourist_sequences,
     default_config,
     group_by_user,
     load_config,

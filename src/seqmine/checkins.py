@@ -111,6 +111,9 @@ def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
         ts = _parse_timestamp(str(raw_ts))
     except (ValueError, OverflowError):
         return f"bad timestamp {raw_ts!r}"
+    if isinstance(lat, bool) or isinstance(lon, bool):
+        # float(True) is 1.0; a JSON boolean is no more a number than CSV "True"
+        return "non-numeric coordinates"
     try:
         lat = float(lat)
         lon = float(lon)
@@ -377,44 +380,25 @@ def group_by_user(tagged: Iterable[tuple[CheckIn, str]]) -> Groups:
 # sequence building
 
 
-@dataclass(frozen=True)
-class TouristSequence:
-    """Time-ordered activity elements for one (user, window) group."""
-
-    user_id: str
-    window: str | None
-    activities: tuple[tuple[str, ...], ...]
-
-    @property
-    def seq_id(self) -> str:
-        return self.user_id if self.window is None else f"{self.user_id}|{self.window}"
-
-
-def build_tourist_sequences(groups: Groups) -> list[TouristSequence]:
-    """One TouristSequence per group, groups ordered by (user, window).
+def build_sequences(groups: Groups) -> SequenceDatabase:
+    """Assemble the groups into a SequenceDatabase, groups ordered by (user, window).
 
     Within a group, check-ins sort by timestamp, and the activities of the
     check-ins at one instant form one element, so the order of check-ins
-    at the same instant does not matter.
+    at the same instant does not matter.  A sequence is named ``user``, or
+    ``user|window`` for a windowed group.
     """
-    out = []
+    raw = []
+    seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
         records = sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp)
-        elements = tuple(
-            tuple(sorted({activity for _, activity in same_instant}))
+        # Sequence.from_ids sorts and dedupes each element
+        raw.append([
+            tuple(activity for _, activity in same_instant)
             for _, same_instant in groupby(records, key=lambda r: r[0].timestamp)
-        )
-        out.append(TouristSequence(user_id, window, elements))
-    return out
-
-
-def build_sequences(groups: Groups) -> SequenceDatabase:
-    """Assemble the groups into a SequenceDatabase of activity sequences."""
-    tourist_seqs = build_tourist_sequences(groups)
-    return SequenceDatabase.from_raw(
-        [t.activities for t in tourist_seqs],
-        [t.seq_id for t in tourist_seqs],
-    )
+        ])
+        seq_ids.append(user_id if window is None else f"{user_id}|{window}")
+    return SequenceDatabase.from_raw(raw, seq_ids)
 
 
 # ---------------------------------------------------------------------------

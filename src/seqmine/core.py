@@ -132,10 +132,6 @@ class Suffix:
     def is_empty(self) -> bool:
         return self.leading_partial is None and not self.rest
 
-    @property
-    def element_count(self) -> int:
-        return (1 if self.leading_partial else 0) + len(self.rest)
-
     def render(self, dictionary: ItemDictionary) -> str:
         return render_elements(self.rest, dictionary, partial=self.leading_partial)
 

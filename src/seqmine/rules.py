@@ -105,7 +105,7 @@ def build_report(
     single-item elements qualify; with None, any pattern of at least two
     elements does.  Rows sort by ``sort_key`` descending, ties broken by the
     rendered activity string, truncated to ``top_k``; a negative ``top_k``
-    raises InvalidConfigError.
+    or an ``n_activities`` below 2 raises InvalidConfigError.
 
     Frequencies are counted over candidates only: the sequences that hold
     every item of the pattern, from per-item id-lists built once per call.
@@ -114,6 +114,8 @@ def build_report(
         raise ValueError(f"sort_key must be one of {VALID_SORT_KEYS}")
     if top_k is not None and top_k < 0:
         raise InvalidConfigError(f"top_k must be >= 0, got {top_k}")
+    if n_activities is not None and n_activities < 2:
+        raise InvalidConfigError(f"n_activities must be >= 2, got {n_activities}")
     supports = patterns.as_dict()
     id_lists: dict[int, set[int]] = {}
     for i, s in enumerate(db.sequences):

@@ -237,38 +237,21 @@ def serialize_checkins(
     """Write check-ins in the exact on-disk format parse_checkins reads."""
     if format not in ("csv", "jsonl"):
         raise ValueError("format must be 'csv' or 'jsonl'")
-    if format == "csv":
+    as_csv = format == "csv"
+    if as_csv:
         writer = csv.writer(fp)
         writer.writerow(CSV_HEADER)
-        for c in checkins:
-            writer.writerow(
-                [
-                    c.checkin_id,
-                    c.user_id,
-                    c.timestamp.astimezone(timezone.utc).isoformat(),
-                    f"{c.lat:.6f}",
-                    f"{c.lon:.6f}",
-                    c.category,
-                    c.subcategory,
-                    c.gender or "",
-                    c.origin or "",
-                ]
-            )
-    else:
-        for c in checkins:
-            fp.write(
-                json.dumps(
-                    {
-                        "checkin_id": c.checkin_id,
-                        "user_id": c.user_id,
-                        "timestamp": c.timestamp.astimezone(timezone.utc).isoformat(),
-                        "lat": round(c.lat, 6),
-                        "lon": round(c.lon, 6),
-                        "category": c.category,
-                        "subcategory": c.subcategory,
-                        "gender": c.gender,
-                        "origin": c.origin,
-                    }
-                )
-                + "\n"
-            )
+    for c in checkins:
+        # CSV writes coordinates as 6-decimal text and None as "", JSONL
+        # writes them as numbers rounded to 6 places and None as null
+        coords = (
+            (f"{c.lat:.6f}", f"{c.lon:.6f}") if as_csv
+            else (round(c.lat, 6), round(c.lon, 6))
+        )
+        ts = c.timestamp.astimezone(timezone.utc).isoformat()
+        row = [c.checkin_id, c.user_id, ts, *coords,
+               c.category, c.subcategory, c.gender, c.origin]
+        if as_csv:
+            writer.writerow(row)
+        else:
+            fp.write(json.dumps(dict(zip(CSV_HEADER, row))) + "\n")

@@ -19,7 +19,6 @@ from seqmine import (
     apply_activity_map,
     build_report,
     build_sequences,
-    build_tourist_sequences,
     default_config,
     mine,
     parse_checkins,
@@ -139,6 +138,19 @@ class TestParseJsonl:
             (3, "expected a JSON object"),
         ]
 
+    def test_boolean_coordinates_rejected(self):
+        # float(True) is 1.0, but a JSON boolean is no more a coordinate
+        # than the text True in a CSV.
+        row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":%s,"lon":%s,"category":"Park"}\n')
+        src = io.StringIO(row % (1, "true", "103.8") + row % (2, "1.3", "false"))
+        result = parse_checkins(src, format="jsonl")
+        assert not result.checkins
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "non-numeric coordinates"),
+            (2, "non-numeric coordinates"),
+        ]
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_checkins(io.StringIO(""), format="parquet")
@@ -250,6 +262,21 @@ class TestWindows:
                 resolve_timezone(bad)
 
 
+def decoded(db):
+    """Each sequence of db as a tuple of label tuples."""
+    return [
+        tuple(tuple(db.dictionary.decode(i) for i in elem) for elem in seq)
+        for seq in db.sequences
+    ]
+
+
+_group_records = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from(("Dining", "Nature", "Shopping"))),
+    min_size=1,
+    max_size=12,
+)
+
+
 class TestSequenceAssembly:
     def test_same_instant_checkins_merge(self):
         groups = {("u1", "morning"): [
@@ -257,35 +284,31 @@ class TestSequenceAssembly:
             (ci(ts="2023-05-01T08:00:00+00:00", cid="b"), "Shopping"),
             (ci(ts="2023-05-01T09:00:00+00:00", cid="c"), "Dining"),
         ]}
-        (seq,) = build_tourist_sequences(groups)
-        assert seq.activities == (("Nature", "Shopping"), ("Dining",))
-        assert seq.seq_id == "u1|morning"
+        db = build_sequences(groups)
+        assert decoded(db) == [(("Nature", "Shopping"), ("Dining",))]
+        assert db.seq_ids == ("u1|morning",)
 
     def test_merge_resolution_window_anchors_at_first(self):
-        # Only check-ins at the same instant share an element; the merge
-        # window is not a setting, so passing one fails loudly.
+        # Only check-ins at the same instant share an element, however
+        # close together the others are.
         groups = {("u1", None): [
             (ci(ts="2023-05-01T08:00:00+00:00", cid="a"), "A"),
             (ci(ts="2023-05-01T08:00:50+00:00", cid="b"), "B"),
             (ci(ts="2023-05-01T08:01:50+00:00", cid="c"), "C"),
         ]}
-        (seq,) = build_tourist_sequences(groups)
-        assert seq.activities == (("A",), ("B",), ("C",))
-        with pytest.raises(TypeError):
-            build_tourist_sequences(groups, merge_resolution=60)
+        db = build_sequences(groups)
+        assert decoded(db) == [(("A",), ("B",), ("C",))]
+        assert db.seq_ids == ("u1",)
 
     def test_duplicate_activity_in_element_collapses(self):
         groups = {("u1", None): [
             (ci(ts="2023-05-01T08:00:00+00:00", cid="a"), "Nature"),
             (ci(ts="2023-05-01T08:00:00+00:00", cid="b"), "Nature"),
         ]}
-        (seq,) = build_tourist_sequences(groups)
-        assert seq.activities == (("Nature",),)
+        assert decoded(build_sequences(groups)) == [(("Nature",),)]
 
     def test_negative_resolution_rejected(self):
         # No entry point takes a merge window.
-        with pytest.raises(TypeError):
-            build_tourist_sequences({}, merge_resolution=-1)
         with pytest.raises(TypeError):
             build_sequences({}, merge_resolution=-1)
         with pytest.raises(TypeError):
@@ -299,6 +322,40 @@ class TestSequenceAssembly:
         db = build_sequences(groups)
         assert db.seq_ids == ("u1|morning", "u2|morning")
         assert sorted(db.dictionary.labels) == ["Nature", "Shopping"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.dictionaries(
+            st.tuples(st.sampled_from(("u1", "u2")), st.sampled_from((None, "am", "pm"))),
+            _group_records,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    def test_elements_are_the_activities_of_each_instant(self, records, data):
+        # Instants repeat and activities repeat within an instant.  Element k
+        # holds exactly the activities at the group's k-th distinct instant,
+        # whatever the order of the group's records.
+        base = datetime(2023, 5, 1, 8, tzinfo=timezone.utc)
+        groups = {
+            key: [
+                (CheckIn(f"c{i}", key[0], base + timedelta(minutes=m), 1.3, 103.8, "Park"),
+                 activity)
+                for i, (m, activity) in enumerate(recs)
+            ]
+            for key, recs in records.items()
+        }
+        db = build_sequences(groups)
+        shuffled = {key: data.draw(st.permutations(recs)) for key, recs in groups.items()}
+        assert build_sequences(shuffled) == db
+        keys = sorted(groups, key=lambda k: (k[0], k[1] or ""))
+        assert db.seq_ids == tuple(u if w is None else f"{u}|{w}" for u, w in keys)
+        for key, seq in zip(keys, decoded(db), strict=True):
+            instants = sorted({c.timestamp for c, _ in groups[key]})
+            assert seq == tuple(
+                tuple(sorted({a for c, a in groups[key] if c.timestamp == t}))
+                for t in instants
+            )
 
 
 class TestConfigParsing:

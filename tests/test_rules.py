@@ -155,6 +155,12 @@ class TestBuildReport:
         with pytest.raises(InvalidConfigError):
             build_report(ps, digits_db, top_k=-1)
 
+    @pytest.mark.parametrize("n_activities", [1, 0, -1])
+    def test_n_activities_below_two_rejected(self, digits_db, n_activities):
+        ps = mine(digits_db, MinerConfig(min_support=3))
+        with pytest.raises(InvalidConfigError):
+            build_report(ps, digits_db, n_activities=n_activities)
+
     def test_frequency_no_less_than_containing_sequences(self, letters_db):
         ps = mine(letters_db, MinerConfig(min_support=2))
         for r in build_report(ps, letters_db, n_activities=None):
