@@ -13,7 +13,7 @@ import resource
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Callable, Iterable, Sequence as SequenceABC
 
 from .core import SequenceDatabase
@@ -109,34 +109,12 @@ def run_bench(
 
 
 def write_bench_csv(results: Iterable[BenchResult], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(
-        [
-            "miner",
-            "n_sequences",
-            "avg_elements",
-            "alphabet_size",
-            "min_support",
-            "min_count",
-            "wall_time_s",
-            "peak_rss_kb",
-            "pattern_count",
-        ]
-    )
+    """One column per BenchResult field; mean length and time to 4 places."""
+    writer = csv.DictWriter(fp, [f.name for f in fields(BenchResult)])
+    writer.writeheader()
     for r in results:
-        writer.writerow(
-            [
-                r.miner,
-                r.n_sequences,
-                f"{r.avg_elements:.4f}",
-                r.alphabet_size,
-                r.min_support,
-                r.min_count,
-                f"{r.wall_time_s:.4f}",
-                r.peak_rss_kb,
-                r.pattern_count,
-            ]
-        )
+        writer.writerow({**asdict(r), "avg_elements": f"{r.avg_elements:.4f}",
+                         "wall_time_s": f"{r.wall_time_s:.4f}"})
 
 
 def format_table(results: SequenceABC[BenchResult]) -> str:

@@ -186,13 +186,16 @@ def parse_checkins(
     Valid rows come back in file order; rows failing validation (bad
     timestamp, out-of-range coordinates, missing fields, duplicate ids) are
     collected with their line numbers instead of being silently dropped.
-    An unusable CSV header or a file that is not UTF-8 raises FormatError.
+    A file path may start with a UTF-8 byte-order mark.  An unusable CSV
+    header or a file that is not UTF-8 raises FormatError.
     """
     if format not in _ROW_READERS:
-        raise ValueError("format must be 'csv' or 'jsonl'")
+        raise InvalidConfigError("format must be 'csv' or 'jsonl'")
     close = isinstance(source, (str, Path))
     fp = open(source, "r", encoding="utf-8", newline="") if close else source
     try:
+        if close and fp.read(1) != "\ufeff":  # skip a leading byte-order mark
+            fp.seek(0)
         checkins: list[CheckIn] = []
         rejects: list[RejectedRow] = []
         seen: set[str] = set()
@@ -446,8 +449,9 @@ def parse_config(text: str) -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
 
 
 def load_config(path: str | Path) -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
+    """parse_config over a UTF-8 file, which may start with a byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text")
     return parse_config(text)
@@ -469,7 +473,11 @@ def default_config() -> tuple[ActivityMap, tuple[WindowSpec, ...]]:
 class PipelineResult:
     database: SequenceDatabase
     tag_result: TagResult = field(repr=False)
-    n_groups: int = 0
+
+    @property
+    def n_groups(self) -> int:
+        """Groups formed; each builds exactly one sequence."""
+        return len(self.database)
 
 
 def run_pipeline(
@@ -492,5 +500,4 @@ def run_pipeline(
         groups = group_by_user(tag_result.tagged)
     else:
         groups = segment_windows(tag_result.tagged, windows, tz)
-    db = build_sequences(groups)
-    return PipelineResult(db, tag_result, len(groups))
+    return PipelineResult(build_sequences(groups), tag_result)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import MINERS, format_table, run_bench, write_bench_csv
@@ -26,7 +27,8 @@ from .checkins import (
 from .errors import FormatError, InvalidConfigError, MinerMismatchError, SeqmineError
 from .prefixspan import MinerConfig
 from .rules import VALID_SORT_KEYS, build_report, write_report_csv, write_report_jsonl
-from .synth import GeneratorConfig, bms_shape, generate_synthetic, serialize_checkins
+from .synth import (SINGAPORE_SHAPE, GeneratorConfig, bms_shape,
+                    generate_synthetic, serialize_checkins)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,20 +138,26 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
+def _generator_config(args) -> GeneratorConfig:
+    """The --shape's config with only the size and length flags given replaced."""
+    given = {
+        field: value
+        for field in ("n_users", "checkins_min", "checkins_max")
+        if (value := getattr(args, field, None)) is not None
+    }
+    if args.shape == "bms" and given.keys() - {"n_users"}:
+        raise InvalidConfigError(
+            "--checkins-min/--checkins-max apply to --shape singapore only"
+        )
+    try:
+        return replace(bms_shape() if args.shape == "bms" else SINGAPORE_SHAPE, **given)
+    except InvalidConfigError as exc:
+        flags = "/".join("--" + f.removeprefix("n_").replace("_", "-") for f in given)
+        raise InvalidConfigError(f"{flags}: {exc}")
+
+
 def cmd_generate(args) -> int:
-    if args.checkins_min > args.checkins_max:
-        print(
-            "error: --checkins-min must be <= --checkins-max", file=sys.stderr
-        )
-        return EXIT_CONFIG
-    if args.shape == "bms":
-        cfg = bms_shape(args.users if args.users is not None else 30000)
-    else:
-        cfg = GeneratorConfig(
-            n_users=args.users if args.users is not None else 1057,
-            checkins_min=args.checkins_min,
-            checkins_max=args.checkins_max,
-        )
+    cfg = _generator_config(args)
     checkins = generate_synthetic(cfg, args.seed)
     fmt = _detect_format(args.out, args.format)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
@@ -162,12 +170,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.shape == "bms":
-        cfg = bms_shape(args.users if args.users is not None else 30000)
-    else:
-        cfg = GeneratorConfig(
-            n_users=args.users if args.users is not None else 1057
-        )
+    cfg = _generator_config(args)
     checkins = generate_synthetic(cfg, args.seed)
     amap, _ = default_config()
     result = run_pipeline(checkins, amap, grouping="trip")
@@ -211,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.set_defaults(func=cmd_mine)
 
     p_gen = sub.add_parser("generate", help="write a synthetic check-ins file")
-    p_gen.add_argument("--users", type=int, default=None,
+    p_gen.add_argument("--users", dest="n_users", metavar="USERS", type=int,
                        help="number of users (default: shape default)")
-    p_gen.add_argument("--checkins-min", type=int, default=8)
-    p_gen.add_argument("--checkins-max", type=int, default=10)
+    p_gen.add_argument("--checkins-min", type=int)
+    p_gen.add_argument("--checkins-max", type=int)
     p_gen.add_argument("--seed", type=int, default=7)
     p_gen.add_argument("--shape", choices=("singapore", "bms"), default="singapore")
     p_gen.add_argument("--format", choices=("csv", "jsonl"), default=None)
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="compare both miners on one dataset")
     p_bench.add_argument("--shape", choices=("singapore", "bms"), default="bms")
-    p_bench.add_argument("--users", type=int, default=None)
+    p_bench.add_argument("--users", dest="n_users", metavar="USERS", type=int)
     p_bench.add_argument("--supports", type=_support_list,
                          default=[0.005, 0.01, 0.02],
                          help="comma-separated counts or fractions")

@@ -36,15 +36,14 @@ I_EXTENSION = "I"
 class ProjectionEntry(NamedTuple):
     """Where the suffix of one database sequence begins.
 
-    ``open_element`` is set when the suffix starts inside a partially
-    consumed element (the "_" case); ``item_offset`` is then the first
-    unconsumed item position within that element.
+    A nonzero ``item_offset`` is the first unconsumed item position within a
+    partially consumed element (the "_" case); zero means the suffix starts
+    at a whole element.
     """
 
     seq_index: int
     elem_offset: int
     item_offset: int
-    open_element: bool
 
 
 class Extension(NamedTuple):
@@ -159,7 +158,7 @@ class ProjectedDatabase:
     @classmethod
     def root(cls, db: SequenceDatabase) -> "ProjectedDatabase":
         entries = tuple(
-            ProjectionEntry(i, 0, 0, False)
+            ProjectionEntry(i, 0, 0)
             for i, s in enumerate(db.sequences)
             if s.elements
         )
@@ -175,10 +174,10 @@ class ProjectedDatabase:
         """
         keep = None if include is None else set(include)
         out = []
-        for si, eo, io, open_ in self.entries:
+        for si, eo, io in self.entries:
             elements = self.base.sequences[si].elements
-            partial: Element | None = elements[eo][io:] if open_ else None
-            rest = elements[eo + 1 :] if open_ else elements[eo:]
+            partial: Element | None = elements[eo][io:] if io else None
+            rest = elements[eo + 1 :] if io else elements[eo:]
             if keep is not None:
                 if partial is not None:
                     partial = tuple(i for i in partial if i in keep) or None
@@ -228,11 +227,11 @@ def frequent_extensions(
     sequences = pdb.base.sequences
     s_counts: Counter = Counter()
     i_counts: Counter = Counter()
-    for si, eo, io, open_ in pdb.entries:
+    for si, eo, io in pdb.entries:
         seq = sequences[si].elements
         s_seen: set[int] = set()
         i_seen: set[int] = set()
-        if open_:
+        if io:
             i_seen.update(seq[eo][io:])
             eo += 1
         for elem in seq[eo:]:
@@ -273,12 +272,12 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
     i_ext = ext.kind == I_EXTENSION
     sequences = pdb.base.sequences
     out = []
-    for si, eo, io, open_ in pdb.entries:
+    for si, eo, io in pdb.entries:
         seq = sequences[si].elements
-        if i_ext and open_ and item in seq[eo][io:]:
+        if i_ext and io and item in seq[eo][io:]:
             j = eo
         else:
-            for j in range(eo + 1 if open_ else eo, len(seq)):
+            for j in range(eo + 1 if io else eo, len(seq)):
                 elem = seq[j]
                 if item in elem and (not i_ext or _is_subset(last, elem)):
                     break
@@ -287,9 +286,9 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
         elem = seq[j]
         idx = elem.index(item) + 1
         if idx < len(elem):
-            out.append(ProjectionEntry(si, j, idx, True))
+            out.append(ProjectionEntry(si, j, idx))
         elif j + 1 < len(seq):
-            out.append(ProjectionEntry(si, j + 1, 0, False))
+            out.append(ProjectionEntry(si, j + 1, 0))
         # else: suffix empty, entry dropped
     return ProjectedDatabase(Sequence(new_elems), tuple(out), pdb.base)
 

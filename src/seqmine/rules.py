@@ -104,14 +104,15 @@ def build_report(
     With ``n_activities`` set (default 3) only patterns of exactly that many
     single-item elements qualify; with None, any pattern of at least two
     elements does.  Rows sort by ``sort_key`` descending, ties broken by the
-    rendered activity string, truncated to ``top_k``; a negative ``top_k``
-    or an ``n_activities`` below 2 raises InvalidConfigError.
+    rendered activity string, truncated to ``top_k``; an unknown
+    ``sort_key``, a negative ``top_k`` or an ``n_activities`` below 2 raises
+    InvalidConfigError.
 
     Frequencies are counted over candidates only: the sequences that hold
     every item of the pattern, from per-item id-lists built once per call.
     """
     if sort_key not in VALID_SORT_KEYS:
-        raise ValueError(f"sort_key must be one of {VALID_SORT_KEYS}")
+        raise InvalidConfigError(f"sort_key must be one of {VALID_SORT_KEYS}")
     if top_k is not None and top_k < 0:
         raise InvalidConfigError(f"top_k must be >= 0, got {top_k}")
     if n_activities is not None and n_activities < 2:

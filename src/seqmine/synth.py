@@ -156,7 +156,8 @@ class GeneratorConfig:
         if self.length_weights is None:
             if not 1 <= self.checkins_min <= self.checkins_max:
                 raise InvalidConfigError(
-                    "need 1 <= checkins_min <= checkins_max"
+                    "need 1 <= checkins_min <= checkins_max, got "
+                    f"{self.checkins_min} and {self.checkins_max}"
                 )
         else:
             if not self.length_weights or any(
@@ -236,7 +237,7 @@ def serialize_checkins(
 ) -> None:
     """Write check-ins in the exact on-disk format parse_checkins reads."""
     if format not in ("csv", "jsonl"):
-        raise ValueError("format must be 'csv' or 'jsonl'")
+        raise InvalidConfigError("format must be 'csv' or 'jsonl'")
     as_csv = format == "csv"
     if as_csv:
         writer = csv.writer(fp)

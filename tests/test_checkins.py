@@ -20,6 +20,7 @@ from seqmine import (
     build_report,
     build_sequences,
     default_config,
+    load_config,
     mine,
     parse_checkins,
     parse_config,
@@ -29,6 +30,7 @@ from seqmine import (
     write_report_jsonl,
 )
 from seqmine.checkins import CSV_HEADER, DEFAULT_WINDOWS, group_by_user, resolve_timezone
+from seqmine.synth import serialize_checkins
 
 HEADER = "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin"
 
@@ -122,6 +124,14 @@ class TestParseCsv:
         with pytest.raises(FormatError):
             parse_checkins(io.StringIO(""))
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text(HEADER + "\nc1,u1,2023-05-01T08:00:00Z,1.0,2.0,Park,,,\n",
+                        encoding="utf-8-sig")
+        result = parse_checkins(path)
+        assert [c.checkin_id for c in result] == ["c1"] and not result.rejects
+
 
 class TestParseJsonl:
     def test_objects_and_rejects(self):
@@ -154,6 +164,16 @@ class TestParseJsonl:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_checkins(io.StringIO(""), format="parquet")
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_text(
+            '{"checkin_id":"c1","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+            '"lat":1.3,"lon":103.8,"category":"Park"}\n',
+            encoding="utf-8-sig",
+        )
+        result = parse_checkins(path, format="jsonl")
+        assert [c.checkin_id for c in result] == ["c1"] and not result.rejects
 
 
 class TestActivityMap:
@@ -394,6 +414,25 @@ class TestConfigParsing:
         assert amap.match("Changi Airport") is None
         assert amap.match("Asian Restaurant") == "Dining"
         assert amap.match("Bowling Alley") == "Other"
+
+    def test_byte_order_mark_before_first_rule(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("*airport* = -\npark = Nature\n", encoding="utf-8-sig")
+        amap, _ = load_config(path)
+        assert amap.rules[0].pattern == "*airport*"
+        tagged = apply_activity_map([ci(cat="Changi Airport")], amap)
+        assert tagged.dropped == 1 and not tagged.tagged
+
+
+class TestSettingValues:
+    def test_bad_values_raise_invalid_config(self, letters_db):
+        patterns = mine(letters_db, MinerConfig(min_support=2))
+        with pytest.raises(InvalidConfigError, match="sort_key"):
+            build_report(patterns, letters_db, sort_key="lift")
+        with pytest.raises(InvalidConfigError, match="format"):
+            parse_checkins(io.StringIO(""), format="parquet")
+        with pytest.raises(InvalidConfigError, match="format"):
+            serialize_checkins([], io.StringIO(), format="xml")
 
 
 class TestRunPipeline:

@@ -1,4 +1,6 @@
 import csv
+import io
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +8,7 @@ from seqmine import MinerMismatchError, mine
 from seqmine.bench import MINERS
 from seqmine.cli import main
 from seqmine.prefixspan import PatternSet
+from seqmine.synth import SINGAPORE_SHAPE, bms_shape, generate_synthetic, serialize_checkins
 
 
 @pytest.fixture()
@@ -46,6 +49,36 @@ class TestGenerate:
                      "--checkins-max", "8", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "checkins-min" in capsys.readouterr().err
+
+    def test_length_flags_rejected_for_bms(self, tmp_path, capsys):
+        code = main(["generate", "--shape", "bms", "--checkins-min", "5",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--checkins-min" in err and "--checkins-max" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_length_flag_checked_against_shape_default(self, tmp_path, capsys):
+        # --checkins-max stays at the shape's default of 10
+        code = main(["generate", "--checkins-min", "12",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--checkins-min" in err
+
+    def test_shapes_come_from_synth(self, tmp_path):
+        for flags, cfg in [
+            (["--users", "30"], replace(SINGAPORE_SHAPE, n_users=30)),
+            (["--users", "30", "--checkins-min", "2", "--checkins-max", "3"],
+             replace(SINGAPORE_SHAPE, n_users=30, checkins_min=2, checkins_max=3)),
+            (["--shape", "bms", "--users", "90"], bms_shape(90)),
+        ]:
+            path = tmp_path / "g.csv"
+            assert main(["generate", *flags, "--seed", "5", "--out", str(path)]) == 0
+            buf = io.StringIO()
+            serialize_checkins(generate_synthetic(cfg, 5), buf)
+            assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_bms_shape(self, tmp_path):
         path = tmp_path / "bms.csv"
@@ -254,6 +287,15 @@ class TestBench:
         rows = read_csv(out)
         assert rows[0][0] == "miner"
         assert len(rows) == 5  # header + 2 miners x 2 supports
+
+    def test_users_on_default_shape(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--users", "30", "--repeats", "1",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 7  # header + 2 miners x 3 default supports
+        # bms_shape(30) at the default seed: every user keeps a trip
+        assert {r[1] for r in rows[1:]} == {"30"}
 
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         def broken(db, cfg):
