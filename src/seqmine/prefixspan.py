@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Collection, Iterator, NamedTuple
 
@@ -222,31 +222,10 @@ def frequent_extensions(
     that also contains the whole last element (the pattern's enlarged
     element has to sit in a single database element).
     """
-    last = pdb.prefix.elements[-1] if pdb.prefix else ()
-    lmax = last[-1] if last else -1
-    sequences = pdb.base.sequences
-    s_counts: Counter = Counter()
-    i_counts: Counter = Counter()
-    for si, eo, io in pdb.entries:
-        seq = sequences[si].elements
-        s_seen: set[int] = set()
-        i_seen: set[int] = set()
-        if io:
-            i_seen.update(seq[eo][io:])
-            eo += 1
-        for elem in seq[eo:]:
-            s_seen.update(elem)
-            # cheap membership test first: most elements lack lmax
-            if lmax in elem and _is_subset(last, elem):
-                i_seen.update(elem[elem.index(lmax) + 1 :])
-        s_counts.update(s_seen)
-        i_counts.update(i_seen)
-    dictionary = pdb.base.dictionary
+    decode = pdb.base.dictionary.decode
     return [
-        Extension(Item(i, dictionary.decode(i)), kind, counts[i])
-        for kind, counts in ((S_EXTENSION, s_counts), (I_EXTENSION, i_counts))
-        for i in sorted(counts)
-        if counts[i] >= min_count
+        Extension(Item(i, decode(i)), kind, len(hits))
+        for kind, i, hits in _extensions(pdb, min_count)
     ]
 
 
@@ -264,33 +243,10 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
             raise ValueError("cannot I-extend an empty prefix")
         if item <= last[-1]:
             raise ValueError("I-extension item must be ordered after the last element")
-        new_elems = pdb.prefix.elements[:-1] + (last + (item,),)
-    elif ext.kind == S_EXTENSION:
-        new_elems = pdb.prefix.elements + ((item,),)
-    else:
+    elif ext.kind != S_EXTENSION:
         raise ValueError(f"unknown extension kind: {ext.kind!r}")
-    i_ext = ext.kind == I_EXTENSION
-    sequences = pdb.base.sequences
-    out = []
-    for si, eo, io in pdb.entries:
-        seq = sequences[si].elements
-        if i_ext and io and item in seq[eo][io:]:
-            j = eo
-        else:
-            for j in range(eo + 1 if io else eo, len(seq)):
-                elem = seq[j]
-                if item in elem and (not i_ext or _is_subset(last, elem)):
-                    break
-            else:
-                continue
-        elem = seq[j]
-        idx = elem.index(item) + 1
-        if idx < len(elem):
-            out.append(ProjectionEntry(si, j, idx))
-        elif j + 1 < len(seq):
-            out.append(ProjectionEntry(si, j + 1, 0))
-        # else: suffix empty, entry dropped
-    return ProjectedDatabase(Sequence(new_elems), tuple(out), pdb.base)
+    hits = [h for kind, i, h in _extensions(pdb, 1) if (kind, i) == (ext.kind, item)]
+    return _projected(_grown(pdb.prefix, ext.kind, item), hits[0] if hits else [], pdb.base)
 
 
 def projection_table(
@@ -301,10 +257,12 @@ def projection_table(
     Suffixes are restricted to the frequent items of the run, matching the
     conventional tabulation where infrequent items are elided.
     """
-    root = ProjectedDatabase.root(db)
-    exts = frequent_extensions(root, min_count)
-    include = [ext.item.id for ext in exts]
-    return {ext.item.label: project(root, ext).render(include) for ext in exts}
+    exts = _extensions(ProjectedDatabase.root(db), min_count)
+    include = [i for _, i, _ in exts]
+    return {
+        db.dictionary.decode(i): _projected(Sequence(((i,),)), hits, db).render(include)
+        for _, i, hits in exts
+    }
 
 
 def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
@@ -316,13 +274,70 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     patterns: list[Pattern] = []
 
     # Depth-first over S-extensions then I-extensions, each by ascending
-    # item id, which emits the patterns already in canonical order.
-    def grow(pdb: ProjectedDatabase) -> None:
-        for ext in frequent_extensions(pdb, min_count):
-            child = project(pdb, ext)
-            patterns.append(Pattern(child.prefix, ext.count))
-            if cfg.max_length is None or child.prefix.item_count < cfg.max_length:
-                grow(child)
-
-    grow(ProjectedDatabase.root(db))
+    # item id, which emits the patterns already in canonical order.  Pushing
+    # them in reverse keeps that order without recursion; a pattern is
+    # projected only if it grows further.
+    pdb = ProjectedDatabase.root(db)
+    stack = [(pdb.prefix, ext) for ext in reversed(_extensions(pdb, min_count))]
+    while stack:
+        prefix, (kind, item, hits) = stack.pop()
+        prefix = _grown(prefix, kind, item)
+        patterns.append(Pattern(prefix, len(hits)))
+        if cfg.max_length is None or prefix.item_count < cfg.max_length:
+            pdb = _projected(prefix, hits, db)
+            stack.extend((prefix, ext) for ext in reversed(_extensions(pdb, min_count)))
     return PatternSet(tuple(patterns), len(db), db.dictionary)
+
+
+def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, list]]:
+    """(kind, item id, hits) of each frequent extension, found in one pass.
+
+    ``hits`` holds the earliest occurrence (sequence, element, item index)
+    in each sequence that has one, so its length is the support.
+    """
+    last = pdb.prefix.elements[-1] if pdb.prefix else ()
+    lmax = last[-1] if last else -1
+    sequences = pdb.base.sequences
+    s_hits, i_hits = defaultdict(list), defaultdict(list)
+    for si, eo, io in pdb.entries:
+        seq = sequences[si].elements
+        s_seen, i_seen = set(), set()
+        for j in range(eo, len(seq)):
+            elem = seq[j]
+            if io and j == eo:
+                i_from = io  # the open partial only I-extends
+            else:
+                for k, x in enumerate(elem):
+                    if x not in s_seen:
+                        s_seen.add(x)
+                        s_hits[x].append((si, j, k))
+                # cheap membership test first: most elements lack lmax
+                if lmax not in elem or not _is_subset(last, elem):
+                    continue
+                i_from = elem.index(lmax) + 1
+            for k in range(i_from, len(elem)):
+                if elem[k] not in i_seen:
+                    i_seen.add(elem[k])
+                    i_hits[elem[k]].append((si, j, k))
+    return [
+        (kind, i, hits[i]) for kind, hits in ((S_EXTENSION, s_hits), (I_EXTENSION, i_hits))
+        for i in sorted(hits) if len(hits[i]) >= min_count
+    ]
+
+
+def _grown(prefix: Sequence, kind: str, item: int) -> Sequence:
+    elems = prefix.elements
+    grown = elems[:-1] + (elems[-1] + (item,),) if kind == I_EXTENSION else elems + ((item,),)
+    return Sequence(grown)
+
+
+def _projected(prefix: Sequence, hits: list, db: SequenceDatabase) -> ProjectedDatabase:
+    """Entries just past each hit; a hit that ends its sequence leaves none."""
+    entries = []
+    for si, j, k in hits:
+        seq = db.sequences[si].elements
+        if k + 1 < len(seq[j]):
+            entries.append(ProjectionEntry(si, j, k + 1))
+        elif j + 1 < len(seq):
+            entries.append(ProjectionEntry(si, j + 1, 0))
+    return ProjectedDatabase(prefix, tuple(entries), db)

@@ -250,6 +250,24 @@ class TestMine:
         assert "Traceback" not in err
         assert "sequences=0" in out
 
+    def test_long_window_mines_without_traceback(self, tmp_path, capsys):
+        # 1100 check-ins at distinct instants in one window: the pattern
+        # growth search goes 1100 items deep
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin\n"
+            + "".join(
+                f"c{i},u1,2023-05-01T01:{i // 60:02d}:{i % 60:02d}Z,1.3,103.8,Park,,,\n"
+                for i in range(1100)
+            )
+        )
+        code = main(["mine", "--input", str(path), "--min-support", "1",
+                     "--max-length", "5000", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "sequences=1 " in out and "patterns=1100 " in out
+        assert "Traceback" not in err
+
     def test_rejects_reported_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "mixed.csv"
         path.write_text(

@@ -10,11 +10,13 @@ from seqmine import (
     MinerConfig,
     ProjectedDatabase,
     SequenceDatabase,
+    contains_subsequence,
     frequent_extensions,
     frequent_items,
     mine,
     project,
     projection_table,
+    suffix,
 )
 from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION
 
@@ -310,3 +312,53 @@ class TestAgainstExhaustiveReference:
         cfg = MinerConfig(min_support=min_count, max_length=3)
         expected = oracle.mine_exhaustive(raw, min_count, max_items=3)
         assert mine(db, cfg).as_dict() == expected
+
+
+class TestSharedScan:
+    """Counting and projecting share one scan per node; the public steps
+    still agree with the suffix algebra, containment and the miner."""
+
+    @given(
+        raw=st.lists(
+            st.lists(
+                st.sets(st.integers(0, 3), min_size=1, max_size=3).map(
+                    lambda e: tuple(sorted(e))
+                ),
+                max_size=6,
+            ).map(tuple),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_walk_agrees_with_suffix_algebra_and_mine(self, raw):
+        db = as_database(raw, alphabet=4)
+        walked = []
+
+        def walk(pdb):
+            for ext in frequent_extensions(pdb, 1):
+                child = project(pdb, ext)
+                prefix = child.prefix
+                assert ext.count == sum(
+                    contains_subsequence(s, prefix) for s in db.sequences
+                )
+                suffixes = [suffix(s, prefix) for s in db.sequences]
+                assert child.suffixes() == [x for x in suffixes if not x.is_empty]
+                walked.append((prefix.elements, ext.count))
+                if prefix.item_count < 3:
+                    walk(child)
+
+        walk(ProjectedDatabase.root(db))
+        got = [(p.sequence.elements, p.support_count)
+               for p in mine(db, MinerConfig(1, 3))]
+        assert got == walked
+
+
+class TestLongPatterns:
+    def test_pattern_longer_than_the_recursion_limit(self):
+        # one pattern item per search level; 1100 levels exceed Python's
+        # default recursion limit of 1000
+        db = SequenceDatabase.from_raw([[("a",)] * 1100])
+        ps = mine(db, MinerConfig(1))
+        assert len(ps) == 1100
+        assert [len(p.sequence) for p in ps] == list(range(1, 1101))
+        assert {p.support_count for p in ps} == {1}
