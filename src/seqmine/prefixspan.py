@@ -280,8 +280,8 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     pdb = ProjectedDatabase.root(db)
     stack = [(pdb.prefix, ext) for ext in reversed(_extensions(pdb, min_count))]
     while stack:
-        prefix, (kind, item, hits) = stack.pop()
-        prefix = _grown(prefix, kind, item)
+        parent, (kind, item, hits) = stack.pop()
+        prefix = _grown(parent, kind, item)
         patterns.append(Pattern(prefix, len(hits)))
         if cfg.max_length is None or prefix.item_count < cfg.max_length:
             pdb = _projected(prefix, hits, db)
