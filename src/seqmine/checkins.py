@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
-from itertools import groupby
+from functools import cache
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -46,7 +46,9 @@ DROP_MARKER = "-"
 
 @dataclass(frozen=True)
 class CheckIn:
-    """One validated check-in record; timestamp is a UTC instant."""
+    """One check-in record.  parse_checkins gives stripped text, non-empty
+    required fields and a ``timezone.utc`` timestamp at least a day inside
+    datetime's range; one built by hand may hold any aware timestamp."""
 
     checkin_id: str
     user_id: str
@@ -85,8 +87,8 @@ _FIRST_INSTANT = datetime.min.replace(tzinfo=timezone.utc) + timedelta(days=1)
 _LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc) - timedelta(days=1)
 
 
-def _parse_timestamp(raw: str) -> datetime:
-    text = raw.strip()
+def _parse_timestamp(text: str) -> datetime:
+    """A stripped ISO 8601 timestamp as a UTC instant; naive means UTC."""
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)
@@ -100,15 +102,18 @@ def _parse_timestamp(raw: str) -> datetime:
 
 def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
     """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected."""
-    for name, value in zip(CSV_HEADER[:6], row):
-        if not str(value).strip():
-            return f"missing {name}"
     raw_id, user_id, raw_ts, lat, lon, category, subcategory, gender, origin = row
-    cid = str(raw_id).strip()
+    # only text can be blank, and coordinates convert from their raw values
+    required = (str(raw_id).strip(), str(user_id).strip(), str(raw_ts).strip(),
+                lat.strip() if isinstance(lat, str) else lat,
+                lon.strip() if isinstance(lon, str) else lon, str(category).strip())
+    if "" in required:
+        return f"missing {CSV_HEADER[required.index('')]}"
+    cid, user_id, ts_text, _, _, category = required
     if cid in seen_ids:
         return f"duplicate checkin_id {cid!r}"
     try:
-        ts = _parse_timestamp(str(raw_ts))
+        ts = _parse_timestamp(ts_text)
     except (ValueError, OverflowError):
         return f"bad timestamp {raw_ts!r}"
     if isinstance(lat, bool) or isinstance(lon, bool):
@@ -123,16 +128,11 @@ def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
         return "lat out of range"
     if not -180.0 <= lon <= 180.0:
         return "lon out of range"
-    checkin = CheckIn(
-        checkin_id=cid,
-        user_id=str(user_id).strip(),
-        timestamp=ts,
-        lat=lat,
-        lon=lon,
-        category=str(category).strip(),
-        subcategory=str(subcategory or "").strip(),
-        gender=str(gender or "").strip() or None,
-        origin=str(origin or "").strip() or None,
+    checkin = CheckIn(  # positional, in field order: keywords cost more per row
+        cid, user_id, ts, lat, lon, category,
+        str(subcategory or "").strip(),
+        str(gender or "").strip() or None,
+        str(origin or "").strip() or None,
     )
     seen_ids.add(cid)
     return checkin
@@ -146,7 +146,7 @@ def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, list[str] | str]]:
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
         for row in reader:
-            if not row or all(not c.strip() for c in row):
+            if not row or not row[0].strip() and all(not c.strip() for c in row):
                 continue
             if len(row) != len(CSV_HEADER):
                 yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
@@ -158,6 +158,10 @@ def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, list[str] | str]]:
         raise FormatError(f"line {reader.line_num}: {exc}")
 
 
+# json.loads without its per-call argument checks: same grammar, same ValueErrors
+_decode_json = json.JSONDecoder().decode
+
+
 def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
     """Each non-blank line's number and its fields in CSV_HEADER order, or why
     it is rejected; a missing or null field reads as empty."""
@@ -165,7 +169,7 @@ def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_json(line)
         except (ValueError, RecursionError):
             yield line_no, "invalid JSON"
             continue
@@ -350,6 +354,20 @@ def resolve_timezone(name: str) -> timezone:
         raise InvalidConfigError(f"unknown timezone {name!r}")
 
 
+def _day_offset(day: int, tz: timezone) -> int | None:
+    """tz's UTC offset in seconds throughout UTC day ``day`` (an ordinal), or
+    None when it changes that day, is not whole seconds or is out of range."""
+    first = datetime.fromordinal(day).replace(tzinfo=timezone.utc)
+    try:
+        offset = first.astimezone(tz).utcoffset()
+        last = (first + timedelta(days=1, microseconds=-1)).astimezone(tz).utcoffset()
+    except OverflowError:
+        return None
+    if offset != last or offset.microseconds:
+        return None
+    return offset.days * 86400 + offset.seconds
+
+
 def segment_windows(
     tagged: Iterable[tuple[CheckIn, str]],
     windows: Iterable[WindowSpec] = DEFAULT_WINDOWS,
@@ -357,17 +375,26 @@ def segment_windows(
 ) -> Groups:
     """Bucket tagged check-ins into (user, window-name) groups by local time.
 
-    A check-in joins every window containing its local time (windows may
-    overlap); one outside all windows joins no group.
+    A check-in's local time is its instant at tz's UTC offset at that
+    instant.  A check-in joins every window containing its local time
+    (windows may overlap); one outside all windows joins no group.
     """
-    window_list = list(windows)
+    spans = [(w.start_minute, w.end_minute, w.name) for w in windows]
     groups: Groups = {}
+    # one offset per UTC day for the UTC timestamps parse_checkins gives; any
+    # other timestamp, or a day with an offset change, goes by astimezone
+    offset_on = cache(lambda day: _day_offset(day, tz))
     for c, activity in tagged:
-        local = c.timestamp.astimezone(tz)
-        minute = local.hour * 60 + local.minute
-        for w in window_list:
-            if w.contains(minute):
-                groups.setdefault((c.user_id, w.name), []).append((c, activity))
+        ts = c.timestamp
+        offset = offset_on(ts.toordinal()) if ts.tzinfo is timezone.utc else None
+        if offset is None:
+            local = ts.astimezone(tz)
+            minute = local.hour * 60 + local.minute
+        else:
+            minute = (ts.hour * 3600 + ts.minute * 60 + ts.second + offset) // 60 % 1440
+        for lo, hi, name in spans:
+            if lo <= minute < hi:
+                groups.setdefault((c.user_id, name), []).append((c, activity))
     return groups
 
 
@@ -394,12 +421,16 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     raw = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        records = sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp)
         # Sequence.from_ids sorts and dedupes each element
-        raw.append([
-            tuple(activity for _, activity in same_instant)
-            for _, same_instant in groupby(records, key=lambda r: r[0].timestamp)
-        ])
+        elements: list[tuple[str, ...]] = []
+        instant = None
+        for c, activity in sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp):
+            if c.timestamp == instant:
+                elements[-1] += (activity,)
+            else:
+                elements.append((activity,))
+                instant = c.timestamp
+        raw.append(elements)
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
     return SequenceDatabase.from_raw(raw, seq_ids)
 

@@ -104,8 +104,10 @@ class Sequence:
         """Build a canonical sequence from raw id lists (sorts, dedupes)."""
         canon = []
         for elem in elements:
-            ids = tuple(sorted(set(elem)))
-            if not ids:
+            ids = tuple(elem)
+            if len(ids) > 1:
+                ids = tuple(sorted(set(ids)))
+            elif not ids:
                 raise EmptyElementError("empty element in sequence")
             canon.append(ids)
         return cls(tuple(canon))
@@ -187,7 +189,8 @@ def canonicalize(
     Items within an element are sorted by id and duplicates collapse; the
     resulting expression of a sequence is unique.
     """
-    return Sequence.from_ids((dictionary.encode(lb) for lb in elem) for elem in raw)
+    encode = dictionary.encode
+    return Sequence.from_ids(map(encode, elem) for elem in raw)
 
 
 def render_elements(

@@ -311,8 +311,9 @@ def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, 
                     if x not in s_seen:
                         s_seen.add(x)
                         s_hits[x].append((si, j, k))
-                # cheap membership test first: most elements lack lmax
-                if lmax not in elem or not _is_subset(last, elem):
+                # cheap membership test first: most elements lack lmax, and
+                # for a one-item last element it is the whole subset test
+                if lmax not in elem or len(last) > 1 and not _is_subset(last, elem):
                     continue
                 i_from = elem.index(lmax) + 1
             for k in range(i_from, len(elem)):

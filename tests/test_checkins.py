@@ -4,9 +4,10 @@ import json
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqmine import (
     ActivityMap,
@@ -29,7 +30,14 @@ from seqmine import (
     write_report_csv,
     write_report_jsonl,
 )
-from seqmine.checkins import CSV_HEADER, DEFAULT_WINDOWS, group_by_user, resolve_timezone
+from seqmine.checkins import (
+    _FIRST_INSTANT,
+    _LAST_INSTANT,
+    CSV_HEADER,
+    DEFAULT_WINDOWS,
+    group_by_user,
+    resolve_timezone,
+)
 from seqmine.synth import serialize_checkins
 
 HEADER = "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin"
@@ -116,6 +124,65 @@ class TestParseCsv:
         ))
         assert len(result) == 1 and not result.rejects
 
+    def test_first_blank_field_in_header_order_is_named(self):
+        result = parse_checkins(csv_source(
+            "c1,,,1.3,,Park,,,",                                   # line 2
+            "c2,u1,2023-05-01T08:00:00Z,,,,,,",                    # line 3
+            "c3,u1,2023-05-01T08:00:00Z,1.3,103.8,,,,",            # line 4
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "missing user_id"),
+            (3, "missing lat"),
+            (4, "missing category"),
+        ]
+
+    def test_whitespace_only_fields_are_blank(self):
+        result = parse_checkins(csv_source(
+            "c1,  ,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+            "c2,u1, \t ,1.3,103.8,Park,,,",
+            "c3,u1,2023-05-01T08:00:00Z,1.3, ,Park,,,",
+            "c4,u1,2023-05-01T08:00:00Z,1.3,103.8,Park, , , ",
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "missing user_id"),
+            (3, "missing timestamp"),
+            (4, "missing lon"),
+        ]
+        (c4,) = result.checkins
+        assert (c4.subcategory, c4.gender, c4.origin) == ("", None, None)
+
+    def test_coordinates_convert_from_the_raw_text(self):
+        # str.strip() removes the separator controls \x1c-\x1f, float() does not.
+        result = parse_checkins(csv_source(
+            "c1,u1,2023-05-01T08:00:00Z,\x1c1.3,103.8,Park,,,",
+            "c2,u1,2023-05-01T08:00:00Z, 1.3 ,103.8,Park,,,",
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "non-numeric coordinates"),
+        ]
+        assert [c.lat for c in result] == [1.3]
+
+    def test_rows_of_only_separators_are_skipped(self):
+        result = parse_checkins(csv_source(
+            ",,,,,,,,",
+            " , ,\t, ,,,,,",
+            ",,",
+            "c1,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+        ))
+        assert [c.checkin_id for c in result] == ["c1"] and not result.rejects
+
+    def test_blank_first_field_with_others_present(self):
+        result = parse_checkins(csv_source(
+            ",u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+            " ,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+            ",,,,,,,,x",
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "missing checkin_id"),
+            (3, "missing checkin_id"),
+            (4, "missing checkin_id"),
+        ]
+
     def test_bad_header_raises(self):
         with pytest.raises(FormatError):
             parse_checkins(io.StringIO("id,user,time\nc1,u1,now\n"))
@@ -159,6 +226,53 @@ class TestParseJsonl:
         assert [(r.line_no, r.reason) for r in result.rejects] == [
             (1, "non-numeric coordinates"),
             (2, "non-numeric coordinates"),
+        ]
+
+    def test_coordinates_beyond_float_range(self):
+        # A JSON integer too large for a float is no number; the text 1e400
+        # is infinity, which no latitude reaches.
+        row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":%s,"lon":103.8,"category":"Park"}\n')
+        src = io.StringIO(row % (1, "1" + "0" * 400) + row % (2, '"1e400"')
+                          + row % (3, '" 1.3 "'))
+        result = parse_checkins(src, format="jsonl")
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "non-numeric coordinates"),
+            (2, "lat out of range"),
+        ]
+        assert [c.lat for c in result] == [1.3]
+
+    def test_several_missing_fields_name_the_first(self):
+        src = io.StringIO(
+            '{"checkin_id":"c1","timestamp":"","lat":1.3,"category":"Park"}\n'
+            '{"checkin_id":"c2","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+            '"lat":" ","lon":null,"category":"Park"}\n'
+            '{"checkin_id":"c3","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+            '"lat":0,"lon":0,"category":"Park"}\n'
+        )
+        result = parse_checkins(src, format="jsonl")
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "missing user_id"),
+            (2, "missing lat"),
+        ]
+        assert [(c.lat, c.lon) for c in result] == [(0.0, 0.0)]
+
+    def test_trailing_garbage_and_inner_byte_order_mark(self):
+        row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":1.3,"lon":103.8,"category":"Park"}')
+        src = io.StringIO(
+            row % 1 + "\n"
+            + row % 2 + " x\n"
+            + row % 3 + "}\n"
+            + "\ufeff" + row % 4 + "\n"
+            + "  " + row % 5 + " \n"
+        )
+        result = parse_checkins(src, format="jsonl")
+        assert [c.checkin_id for c in result] == ["c1", "c5"]
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "invalid JSON"),
+            (3, "invalid JSON"),
+            (4, "invalid JSON"),
         ]
 
     def test_unknown_format(self):
@@ -263,6 +377,14 @@ class TestWindows:
             ("u1", "morning"): ["Dining"],
             ("u1", "afternoon"): ["Shopping"],
         }
+
+    def test_last_utc_day_outside_the_parsed_range(self):
+        # A CheckIn built by hand may hold an instant parse_checkins rejects.
+        # Its local time goes by astimezone even where the last microsecond
+        # of its UTC day has none in the zone.
+        tagged = [(ci(ts="9999-12-31T00:00:00+00:00"), "Nature")]
+        groups = segment_windows(tagged, DEFAULT_WINDOWS, resolve_timezone("+08:00"))
+        assert set(groups) == {("u1", "morning")}
 
     def test_overlapping_windows_duplicate_membership(self):
         windows = (
@@ -489,7 +611,88 @@ _non_ascii_labels = st.text(
 )
 
 
+# One window per minute of the day, so a check-in's window names its local minute.
+_MINUTE_WINDOWS = tuple(WindowSpec(f"{m:04d}", m, m + 1) for m in range(24 * 60))
+
+
+def _iana_zones(*names):
+    try:
+        return tuple(ZoneInfo(name) for name in names)
+    except ZoneInfoNotFoundError:  # no tz database on this system
+        return ()
+
+
+# Fixed offsets, odd ones included, and zones whose offset changes: New York
+# by an hour, Lord Howe by 30 minutes, Kathmandu to +05:45 in 1986 and
+# Amsterdam from +00:19:32 to +00:20 in 1937.
+_ZONES = (
+    timezone.utc,
+    timezone(timedelta(hours=8)),
+    timezone(-timedelta(hours=5, minutes=30)),
+    timezone(timedelta(hours=23, minutes=59)),
+    timezone(-timedelta(hours=23, minutes=59)),
+    timezone(timedelta(minutes=19, seconds=32)),
+    timezone(timedelta(seconds=30, microseconds=500000)),
+) + _iana_zones(
+    "America/New_York", "Australia/Lord_Howe", "Asia/Kathmandu", "Europe/Amsterdam"
+)
+
+# UTC instants at which one of those zones changes its offset, and the ends
+# of the range parse_checkins accepts.
+_ANCHORS = (
+    datetime(2023, 3, 12, 7, tzinfo=timezone.utc),
+    datetime(2023, 11, 5, 6, tzinfo=timezone.utc),
+    datetime(2023, 4, 1, 15, tzinfo=timezone.utc),
+    datetime(2023, 9, 30, 15, 30, tzinfo=timezone.utc),
+    datetime(1985, 12, 31, 18, 30, tzinfo=timezone.utc),
+    datetime(1937, 6, 30, 23, 40, 28, tzinfo=timezone.utc),
+    datetime(1930, 1, 1, tzinfo=timezone.utc),
+    _FIRST_INSTANT,
+    _LAST_INSTANT,
+)
+
+
 class TestIngestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tz=st.sampled_from(_ZONES),
+        instants=st.lists(
+            st.tuples(
+                st.sampled_from(_ANCHORS),
+                st.integers(-2 * 86400 * 10**6, 2 * 86400 * 10**6),
+                st.sampled_from((None, timezone(timedelta(hours=-3)), "zone")),
+            ),
+            max_size=30,
+        ),
+    )
+    @example(  # a sub-second offset carries 07:00:29.6 into the next minute
+        tz=timezone(timedelta(seconds=30, microseconds=500000)),
+        instants=[(_ANCHORS[0], 29_600_000, None)],
+    )
+    def test_local_minute_matches_astimezone(self, tz, instants):
+        # Each check-in lands in the window of its local minute, as
+        # astimezone gives it at that instant, whether its timestamp is in
+        # UTC, as parse_checkins gives it, or in another zone.
+        checkins = []
+        for i, (anchor, shift, view) in enumerate(instants):
+            lo, hi = _FIRST_INSTANT - anchor, _LAST_INSTANT - anchor
+            ts = anchor + min(max(timedelta(microseconds=shift), lo), hi)
+            if view is not None:
+                ts = ts.astimezone(tz if view == "zone" else view)
+            checkins.append(CheckIn(f"c{i}", "u1", ts, 1.3, 103.8, "Park"))
+        groups = segment_windows([(c, "Nature") for c in checkins], _MINUTE_WINDOWS, tz)
+        landed = {
+            c.checkin_id: int(window)
+            for (_, window), members in groups.items()
+            for c, _ in members
+        }
+        assert sum(map(len, groups.values())) == len(checkins)
+        expected = {}
+        for c in checkins:
+            local = c.timestamp.astimezone(tz)
+            expected[c.checkin_id] = local.hour * 60 + local.minute
+        assert landed == expected
+
     @settings(max_examples=60, deadline=None)
     @given(
         windows=_window_lists,
