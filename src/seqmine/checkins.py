@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
-from functools import cache
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -354,20 +354,6 @@ def resolve_timezone(name: str) -> timezone:
         raise InvalidConfigError(f"unknown timezone {name!r}")
 
 
-def _day_offset(day: int, tz: timezone) -> int | None:
-    """tz's UTC offset in seconds throughout UTC day ``day`` (an ordinal), or
-    None when it changes that day, is not whole seconds or is out of range."""
-    first = datetime.fromordinal(day).replace(tzinfo=timezone.utc)
-    try:
-        offset = first.astimezone(tz).utcoffset()
-        last = (first + timedelta(days=1, microseconds=-1)).astimezone(tz).utcoffset()
-    except OverflowError:
-        return None
-    if offset != last or offset.microseconds:
-        return None
-    return offset.days * 86400 + offset.seconds
-
-
 def segment_windows(
     tagged: Iterable[tuple[CheckIn, str]],
     windows: Iterable[WindowSpec] = DEFAULT_WINDOWS,
@@ -379,22 +365,14 @@ def segment_windows(
     instant.  A check-in joins every window containing its local time
     (windows may overlap); one outside all windows joins no group.
     """
-    spans = [(w.start_minute, w.end_minute, w.name) for w in windows]
+    window_list = list(windows)
     groups: Groups = {}
-    # one offset per UTC day for the UTC timestamps parse_checkins gives; any
-    # other timestamp, or a day with an offset change, goes by astimezone
-    offset_on = cache(lambda day: _day_offset(day, tz))
     for c, activity in tagged:
-        ts = c.timestamp
-        offset = offset_on(ts.toordinal()) if ts.tzinfo is timezone.utc else None
-        if offset is None:
-            local = ts.astimezone(tz)
-            minute = local.hour * 60 + local.minute
-        else:
-            minute = (ts.hour * 3600 + ts.minute * 60 + ts.second + offset) // 60 % 1440
-        for lo, hi, name in spans:
-            if lo <= minute < hi:
-                groups.setdefault((c.user_id, name), []).append((c, activity))
+        local = c.timestamp.astimezone(tz)
+        minute = local.hour * 60 + local.minute
+        for w in window_list:
+            if w.contains(minute):
+                groups.setdefault((c.user_id, w.name), []).append((c, activity))
     return groups
 
 
@@ -421,16 +399,12 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     raw = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
+        records = sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp)
         # Sequence.from_ids sorts and dedupes each element
-        elements: list[tuple[str, ...]] = []
-        instant = None
-        for c, activity in sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp):
-            if c.timestamp == instant:
-                elements[-1] += (activity,)
-            else:
-                elements.append((activity,))
-                instant = c.timestamp
-        raw.append(elements)
+        raw.append([
+            tuple(activity for _, activity in same_instant)
+            for _, same_instant in groupby(records, key=lambda r: r[0].timestamp)
+        ])
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
     return SequenceDatabase.from_raw(raw, seq_ids)
 

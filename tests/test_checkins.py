@@ -378,14 +378,6 @@ class TestWindows:
             ("u1", "afternoon"): ["Shopping"],
         }
 
-    def test_last_utc_day_outside_the_parsed_range(self):
-        # A CheckIn built by hand may hold an instant parse_checkins rejects.
-        # Its local time goes by astimezone even where the last microsecond
-        # of its UTC day has none in the zone.
-        tagged = [(ci(ts="9999-12-31T00:00:00+00:00"), "Nature")]
-        groups = segment_windows(tagged, DEFAULT_WINDOWS, resolve_timezone("+08:00"))
-        assert set(groups) == {("u1", "morning")}
-
     def test_overlapping_windows_duplicate_membership(self):
         windows = (
             WindowSpec("all", 0, 24 * 60),
