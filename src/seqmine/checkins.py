@@ -18,11 +18,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
-from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import SequenceDatabase
+from .core import ItemDictionary, Sequence, SequenceDatabase
 from .errors import FormatError, InvalidConfigError
 
 CSV_HEADER = (
@@ -175,8 +175,15 @@ def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
             continue
         if not isinstance(obj, dict):
             yield line_no, "expected a JSON object"
-        else:
-            yield line_no, ["" if (v := obj.get(k)) is None else v for k in CSV_HEADER]
+            continue
+        row = ["" if (v := obj.get(k)) is None else v for k in CSV_HEADER]
+        # only a line with a "[" or a second "{" can hold a list or an object
+        if "[" in line or line.count("{") > 1:
+            nested = [k for k, v in zip(CSV_HEADER, row) if isinstance(v, (list, dict))]
+            if nested:
+                yield line_no, f"{nested[0]} is a JSON list or object"
+                continue
+        yield line_no, row
 
 
 _ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
@@ -393,20 +400,30 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
 
     Within a group, check-ins sort by timestamp, and the activities of the
     check-ins at one instant form one element, so the order of check-ins
-    at the same instant does not matter.  A sequence is named ``user``, or
-    ``user|window`` for a windowed group.
+    at the same instant does not matter.  Activities are encoded once per
+    database, from one dictionary of all the groups' activities.  A
+    sequence is named ``user``, or ``user|window`` for a windowed group.
     """
-    raw = []
+    dictionary = ItemDictionary.from_labels(
+        activity for records in groups.values() for _, activity in records
+    )
+    code = {label: i for i, label in enumerate(dictionary.labels)}
+    by_instant = itemgetter(0)
+    sequences = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        records = sorted(groups[(user_id, window)], key=lambda r: r[0].timestamp)
-        # Sequence.from_ids sorts and dedupes each element
-        raw.append([
-            tuple(activity for _, activity in same_instant)
-            for _, same_instant in groupby(records, key=lambda r: r[0].timestamp)
-        ])
+        pairs = [(c.timestamp, code[activity]) for c, activity in groups[(user_id, window)]]
+        elements: list[tuple[int, ...]] = []
+        instant = None
+        for ts, item in sorted(pairs, key=by_instant):
+            if ts == instant:
+                elements[-1] += (item,)
+            else:
+                elements.append((item,))
+                instant = ts
+        sequences.append(Sequence.from_ids(elements))  # sorts and dedupes each element
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
-    return SequenceDatabase.from_raw(raw, seq_ids)
+    return SequenceDatabase(tuple(sequences), tuple(seq_ids), dictionary)
 
 
 # ---------------------------------------------------------------------------

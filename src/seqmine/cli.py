@@ -184,8 +184,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error for ``main`` to report as one ``error:`` line,
+    instead of printing the usage block and exiting."""
+
+    def error(self, message: str):
+        raise InvalidConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are made with the parent's class
+    parser = _ArgumentParser(
         prog="seqmine",
         description="Sequential activity pattern mining over check-in data.",
     )
@@ -238,13 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help, after argparse printed it
+        return int(exc.code or 0)
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

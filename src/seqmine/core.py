@@ -197,24 +197,27 @@ def render_elements(
     elements: SequenceABC[Element],
     dictionary: ItemDictionary,
     partial: Element | None = None,
+    texts: dict[Element, str] | None = None,
 ) -> str:
     """Render elements in the standard notation.
 
     Single-character alphabets render compactly (``a(bc)c``); otherwise every
     element is parenthesized with space-separated items and elements are
     comma-joined (``(1),(2 3)``).  A leading partial renders as ``(_...)``.
+    ``texts``, a dict kept across calls with one dictionary, renders each
+    distinct element once.
     """
     compact = dictionary.compact
     sep = "" if compact else " "
+    texts = {} if texts is None else texts
     parts = []
     if partial is not None:
         parts.append("(_" + sep.join(dictionary.decode(i) for i in partial) + ")")
     for elem in elements:
-        txt = sep.join(dictionary.decode(i) for i in elem)
-        if compact and len(elem) == 1:
-            parts.append(txt)
-        else:
-            parts.append("(" + txt + ")")
+        if elem not in texts:
+            txt = sep.join(dictionary.decode(i) for i in elem)
+            texts[elem] = txt if compact and len(elem) == 1 else "(" + txt + ")"
+        parts.append(texts[elem])
     return "".join(parts) if compact else ",".join(parts)
 
 

@@ -5,7 +5,9 @@ original sequences (pseudo-projection) instead of copied suffixes, since
 building physical projections is the dominant cost of pattern growth.  Each
 entry records where the earliest occurrence of the prefix ends; growing the
 prefix by one item (an S-extension opening a new element, or an I-extension
-enlarging the last one) only ever advances these positions.
+enlarging the last one) only ever advances these positions.  ``mine`` goes one
+step further: a node's scan starts straight from its parent's hit list, just
+past each hit, so no projected copy of the positions is ever built.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     SequenceDatabase,
     Suffix,
     _is_subset,
+    render_elements,
 )
 from .errors import InvalidConfigError
 
@@ -121,19 +124,21 @@ class PatternSet:
     def to_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp)
         writer.writerow(["pattern", "support_count", "relative_support"])
+        texts: dict[Element, str] = {}  # patterns share most of their elements
         for p in self.patterns:
             writer.writerow(
-                [p.render(self.dictionary), p.support_count,
-                 f"{self.relative_support(p):.6f}"]
+                [render_elements(p.sequence.elements, self.dictionary, texts=texts),
+                 p.support_count, f"{self.relative_support(p):.6f}"]
             )
 
     def to_jsonl(self, fp: IO[str]) -> None:
+        labels: dict[Element, list[str]] = {}
         for p in self.patterns:
+            for elem in p.sequence.elements:
+                if elem not in labels:
+                    labels[elem] = [self.dictionary.decode(i) for i in elem]
             record = {
-                "pattern": [
-                    [self.dictionary.decode(i) for i in elem]
-                    for elem in p.sequence.elements
-                ],
+                "pattern": [labels[elem] for elem in p.sequence.elements],
                 "support_count": p.support_count,
                 "relative_support": self.relative_support(p),
             }
@@ -246,7 +251,8 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
     elif ext.kind != S_EXTENSION:
         raise ValueError(f"unknown extension kind: {ext.kind!r}")
     hits = [h for kind, i, h in _extensions(pdb, 1) if (kind, i) == (ext.kind, item)]
-    return _projected(_grown(pdb.prefix, ext.kind, item), hits[0] if hits else [], pdb.base)
+    grown = Sequence(_grown(pdb.prefix.elements, ext.kind, item))
+    return _projected(grown, hits[0] if hits else [], pdb.base)
 
 
 def projection_table(
@@ -271,52 +277,77 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     Output is canonical, duplicate-free and lexicographically ordered.
     """
     min_count = cfg.resolve_min_count(len(db))
+    max_length = cfg.max_length
+    seqs = [s.elements for s in db.sequences]
     patterns: list[Pattern] = []
 
     # Depth-first over S-extensions then I-extensions, each by ascending
     # item id, which emits the patterns already in canonical order.  Pushing
-    # them in reverse keeps that order without recursion; a pattern is
-    # projected only if it grows further.
-    pdb = ProjectedDatabase.root(db)
-    stack = [(pdb.prefix, ext) for ext in reversed(_extensions(pdb, min_count))]
+    # them in reverse keeps that order without recursion; a pattern's hits
+    # are scanned only if it grows further.  Each stack entry carries the
+    # parent's elements and item count.
+    exts = _scan(seqs, (), [(si, 0, -1) for si, s in enumerate(seqs) if s], min_count)
+    stack = [((), 0, ext) for ext in reversed(exts)]
     while stack:
-        parent, (kind, item, hits) = stack.pop()
-        prefix = _grown(parent, kind, item)
-        patterns.append(Pattern(prefix, len(hits)))
-        if cfg.max_length is None or prefix.item_count < cfg.max_length:
-            pdb = _projected(prefix, hits, db)
-            stack.extend((prefix, ext) for ext in reversed(_extensions(pdb, min_count)))
+        parent, n_items, (kind, item, hits) = stack.pop()
+        elements = _grown(parent, kind, item)
+        n_items += 1
+        patterns.append(Pattern(Sequence(elements), len(hits)))
+        if max_length is None or n_items < max_length:
+            exts = _scan(seqs, elements[-1], hits, min_count)
+            stack.extend((elements, n_items, ext) for ext in reversed(exts))
     return PatternSet(tuple(patterns), len(db), db.dictionary)
 
 
 def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, list]]:
+    """_scan over pdb's entries, each as the start just before its suffix."""
+    starts = [(si, eo, io - 1 if io else -1) for si, eo, io in pdb.entries]
+    last = pdb.prefix.elements[-1] if pdb.prefix else ()
+    return _scan([s.elements for s in pdb.base.sequences], last, starts, min_count)
+
+
+def _scan(
+    seqs: list[tuple[Element, ...]], last: Element, starts: list, min_count: int
+) -> list[tuple[str, int, list]]:
     """(kind, item id, hits) of each frequent extension, found in one pass.
 
-    ``hits`` holds the earliest occurrence (sequence, element, item index)
-    in each sequence that has one, so its length is the support.
+    ``last`` is the prefix's last element, and each start (sequence, element,
+    item index) is where one earliest occurrence of the prefix ends: the
+    suffix begins just past it, and item index -1 starts at a whole element.
+    ``hits`` holds the earliest occurrence of the extension in each sequence
+    that has one, in the same form, so its length is the support.
     """
-    last = pdb.prefix.elements[-1] if pdb.prefix else ()
     lmax = last[-1] if last else -1
-    sequences = pdb.base.sequences
+    multi = len(last) > 1
     s_hits, i_hits = defaultdict(list), defaultdict(list)
-    for si, eo, io in pdb.entries:
-        seq = sequences[si].elements
-        s_seen, i_seen = set(), set()
+    for si, eo, io in starts:
+        seq = seqs[si]
+        i_seen = set()
+        if io >= 0:
+            # the open partial, the rest of the start's element, only I-extends
+            elem = seq[eo]
+            for k in range(io + 1, len(elem)):
+                i_seen.add(elem[k])
+                i_hits[elem[k]].append((si, eo, k))
+            eo += 1
+        s_seen = set()
         for j in range(eo, len(seq)):
             elem = seq[j]
-            if io and j == eo:
-                i_from = io  # the open partial only I-extends
-            else:
-                for k, x in enumerate(elem):
-                    if x not in s_seen:
-                        s_seen.add(x)
-                        s_hits[x].append((si, j, k))
-                # cheap membership test first: most elements lack lmax, and
-                # for a one-item last element it is the whole subset test
-                if lmax not in elem or len(last) > 1 and not _is_subset(last, elem):
-                    continue
-                i_from = elem.index(lmax) + 1
-            for k in range(i_from, len(elem)):
+            if len(elem) == 1:  # most elements; too small to I-extend
+                x = elem[0]
+                if x not in s_seen:
+                    s_seen.add(x)
+                    s_hits[x].append((si, j, 0))
+                continue
+            for k, x in enumerate(elem):
+                if x not in s_seen:
+                    s_seen.add(x)
+                    s_hits[x].append((si, j, k))
+            # cheap membership test first: most elements lack lmax, and
+            # for a one-item last element it is the whole subset test
+            if lmax not in elem or multi and not _is_subset(last, elem):
+                continue
+            for k in range(elem.index(lmax) + 1, len(elem)):
                 if elem[k] not in i_seen:
                     i_seen.add(elem[k])
                     i_hits[elem[k]].append((si, j, k))
@@ -326,10 +357,10 @@ def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, 
     ]
 
 
-def _grown(prefix: Sequence, kind: str, item: int) -> Sequence:
-    elems = prefix.elements
-    grown = elems[:-1] + (elems[-1] + (item,),) if kind == I_EXTENSION else elems + ((item,),)
-    return Sequence(grown)
+def _grown(elements: tuple[Element, ...], kind: str, item: int) -> tuple[Element, ...]:
+    if kind == I_EXTENSION:
+        return elements[:-1] + (elements[-1] + (item,),)
+    return elements + ((item,),)
 
 
 def _projected(prefix: Sequence, hits: list, db: SequenceDatabase) -> ProjectedDatabase:

@@ -16,6 +16,7 @@ from seqmine import (
     FormatError,
     InvalidConfigError,
     MinerConfig,
+    SequenceDatabase,
     WindowSpec,
     apply_activity_map,
     build_report,
@@ -279,6 +280,27 @@ class TestParseJsonl:
         with pytest.raises(ValueError):
             parse_checkins(io.StringIO(""), format="parquet")
 
+    def test_list_or_object_fields_rejected(self):
+        # str() would turn ["Park"] into the category "['Park']"; brackets
+        # and braces inside a string are text like any other.
+        row = ('{"checkin_id":%s,"user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":1.3,"lon":103.8,"category":%s}\n')
+        src = io.StringIO(
+            row % ('"c1"', '["Park"]')
+            + row % ('{"a": 1}', '"Park"')
+            + row % ('"c3"', '{"name": "Park"}')
+            + row % ('"c4"', '"Park [north] {gate}"')
+            + row % ('"c5"', '[]')
+        )
+        result = parse_checkins(src, format="jsonl")
+        assert [(c.checkin_id, c.category) for c in result] == [("c4", "Park [north] {gate}")]
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "category is a JSON list or object"),
+            (2, "checkin_id is a JSON list or object"),
+            (3, "category is a JSON list or object"),
+            (5, "category is a JSON list or object"),
+        ]
+
     def test_byte_order_mark_accepted(self, tmp_path):
         path = tmp_path / "bom.jsonl"
         path.write_text(
@@ -491,6 +513,44 @@ class TestSequenceAssembly:
                 for t in instants
             )
 
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=st.dictionaries(
+            st.tuples(st.sampled_from(("u1", "u2", "u3")),
+                      st.sampled_from((None, "am", "pm"))),
+            st.lists(
+                st.tuples(st.integers(0, 4), st.sampled_from((0, 8, -5)),
+                          st.sampled_from(("Dining", "Nature", "Shopping", "Zoo"))),
+                min_size=1,
+                max_size=10,
+            ),
+            max_size=6,
+        )
+    )
+    def test_encodes_like_from_raw(self, records):
+        # Instants repeat, in zones of different offsets, and activities
+        # repeat within an instant; each group's records come unsorted.
+        # Encoding once per database gives what encoding the label lists of
+        # each instant through from_raw gives.
+        base = datetime(2023, 5, 1, 8, tzinfo=timezone.utc)
+        groups = {
+            key: [
+                (CheckIn(f"c{i}", key[0],
+                         (base + timedelta(minutes=m)).astimezone(timezone(timedelta(hours=h))),
+                         1.3, 103.8, "Park"),
+                 activity)
+                for i, (m, h, activity) in enumerate(recs)
+            ]
+            for key, recs in records.items()
+        }
+        keys = sorted(groups, key=lambda k: (k[0], k[1] or ""))
+        raw = []
+        for key in keys:
+            instants = sorted({c.timestamp for c, _ in groups[key]})
+            raw.append([[a for c, a in groups[key] if c.timestamp == t] for t in instants])
+        seq_ids = [u if w is None else f"{u}|{w}" for u, w in keys]
+        assert build_sequences(groups) == SequenceDatabase.from_raw(raw, seq_ids)
 
 class TestConfigParsing:
     def test_rules_and_windows(self):

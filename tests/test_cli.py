@@ -336,3 +336,18 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["excavate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "--input", "checkins.csv", "--min-support", "1e400"],
+        [],
+        ["excavate"],
+    ])
+    def test_usage_error_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        assert main(["mine", "--help"]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: seqmine mine") and not out.err

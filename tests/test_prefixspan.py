@@ -353,6 +353,33 @@ class TestSharedScan:
         assert got == walked
 
 
+class TestScanFromHits:
+    """Nodes grow from their parent's hits, including hits inside multi-item
+    elements whose rest is an open partial that may only I-extend."""
+
+    @given(
+        raw=st.lists(
+            st.lists(
+                st.sets(st.integers(0, 3), min_size=1, max_size=3).map(
+                    lambda e: tuple(sorted(e))
+                ),
+                min_size=1,
+                max_size=4,
+            ).map(tuple),
+            min_size=1,
+            max_size=4,
+        ),
+        min_count=st.integers(1, 3),
+        max_length=st.sampled_from((None, 1, 3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mine_matches_exhaustive_reference(self, raw, min_count, max_length):
+        db = as_database(raw, alphabet=4)
+        got = mine(db, MinerConfig(min_count, max_length))
+        assert got.as_dict() == oracle.mine_exhaustive(raw, min_count, max_length)
+        elements = [p.sequence.elements for p in got]
+        assert elements == sorted(elements)
+
 class TestLongPatterns:
     def test_pattern_longer_than_the_recursion_limit(self):
         # one pattern item per search level; 1100 levels exceed Python's
