@@ -44,11 +44,15 @@ DEFAULT_ACTIVITY = "Other"
 DROP_MARKER = "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckIn:
     """One check-in record.  parse_checkins gives stripped text, non-empty
     required fields and a ``timezone.utc`` timestamp at least a day inside
-    datetime's range; one built by hand may hold any aware timestamp."""
+    datetime's range; one built by hand may hold any aware timestamp.
+
+    Slotted, so a record has no ``__dict__`` and takes no weak references.
+    The records of one parse_checkins call share one string object per
+    distinct user_id, category, subcategory, gender and origin."""
 
     checkin_id: str
     user_id: str
@@ -100,8 +104,11 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
-def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
-    """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected."""
+def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> CheckIn | str:
+    """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected.
+
+    texts maps each text value already kept to its kept string, so equal
+    values share one object."""
     raw_id, user_id, raw_ts, lat, lon, category, subcategory, gender, origin = row
     # only text can be blank, and coordinates convert from their raw values
     required = (str(raw_id).strip(), str(user_id).strip(), str(raw_ts).strip(),
@@ -128,11 +135,15 @@ def _validate_row(row: list, seen_ids: set[str]) -> CheckIn | str:
         return "lat out of range"
     if not -180.0 <= lon <= 180.0:
         return "lon out of range"
+    share = texts.setdefault
+    subcategory = str(subcategory or "").strip()
+    gender = str(gender or "").strip() or None
+    origin = str(origin or "").strip() or None
     checkin = CheckIn(  # positional, in field order: keywords cost more per row
-        cid, user_id, ts, lat, lon, category,
-        str(subcategory or "").strip(),
-        str(gender or "").strip() or None,
-        str(origin or "").strip() or None,
+        cid, share(user_id, user_id), ts, lat, lon, share(category, category),
+        share(subcategory, subcategory),
+        gender and share(gender, gender),
+        origin and share(origin, origin),
     )
     seen_ids.add(cid)
     return checkin
@@ -210,8 +221,9 @@ def parse_checkins(
         checkins: list[CheckIn] = []
         rejects: list[RejectedRow] = []
         seen: set[str] = set()
+        texts: dict[str, str] = {}
         for line_no, fields in _ROW_READERS[format](fp):
-            row = fields if isinstance(fields, str) else _validate_row(fields, seen)
+            row = fields if isinstance(fields, str) else _validate_row(fields, seen, texts)
             if isinstance(row, str):
                 rejects.append(RejectedRow(line_no, row))
             else:
@@ -401,25 +413,26 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     Within a group, check-ins sort by timestamp, and the activities of the
     check-ins at one instant form one element, so the order of check-ins
     at the same instant does not matter.  Activities are encoded once per
-    database, from one dictionary of all the groups' activities.  A
-    sequence is named ``user``, or ``user|window`` for a windowed group.
+    database, from one dictionary of all the groups' activities, and the
+    one-item elements of an activity are one shared tuple.  A sequence is
+    named ``user``, or ``user|window`` for a windowed group.
     """
     dictionary = ItemDictionary.from_labels(
         activity for records in groups.values() for _, activity in records
     )
-    code = {label: i for i, label in enumerate(dictionary.labels)}
+    single = {label: (i,) for i, label in enumerate(dictionary.labels)}
     by_instant = itemgetter(0)
     sequences = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        pairs = [(c.timestamp, code[activity]) for c, activity in groups[(user_id, window)]]
+        pairs = [(c.timestamp, single[activity]) for c, activity in groups[(user_id, window)]]
         elements: list[tuple[int, ...]] = []
         instant = None
         for ts, item in sorted(pairs, key=by_instant):
             if ts == instant:
-                elements[-1] += (item,)
+                elements[-1] += item
             else:
-                elements.append((item,))
+                elements.append(item)
                 instant = ts
         sequences.append(Sequence.from_ids(elements))  # sorts and dedupes each element
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")

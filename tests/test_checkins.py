@@ -1,6 +1,11 @@
+import copy
 import csv
+import dataclasses
 import io
 import json
+import pickle
+import tracemalloc
+import weakref
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from itertools import combinations
@@ -39,7 +44,7 @@ from seqmine.checkins import (
     group_by_user,
     resolve_timezone,
 )
-from seqmine.synth import serialize_checkins
+from seqmine.synth import GeneratorConfig, generate_synthetic, serialize_checkins
 
 HEADER = "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin"
 
@@ -312,6 +317,117 @@ class TestParseJsonl:
         assert [c.checkin_id for c in result] == ["c1"] and not result.rejects
 
 
+class TestCheckInRecord:
+    RECORD = CheckIn("c1", "u1", datetime(2023, 5, 1, 8, tzinfo=timezone.utc),
+                     1.3, 103.8, "Park", "Garden", "female", None)
+
+    def test_fields_in_header_order_with_defaults(self):
+        fields = dataclasses.fields(CheckIn)
+        assert tuple(f.name for f in fields) == CSV_HEADER
+        assert [f.default for f in fields[6:]] == ["", None, None]
+        short = CheckIn("c1", "u1", self.RECORD.timestamp, 1.3, 103.8, "Park")
+        assert (short.subcategory, short.gender, short.origin) == ("", None, None)
+
+    def test_replace(self):
+        moved = dataclasses.replace(self.RECORD, category="Zoo", origin="Japan")
+        assert (moved.category, moved.origin) == ("Zoo", "Japan")
+        assert dataclasses.replace(moved, category="Park", origin=None) == self.RECORD
+        assert self.RECORD.category == "Park"
+
+    @pytest.mark.parametrize("name", ["category", "gender"])
+    def test_frozen(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.RECORD, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(self.RECORD, name)
+
+    def test_no_attribute_beyond_the_fields(self):
+        # Slotted, CPython 3.10-3.12 raise TypeError here rather than
+        # FrozenInstanceError: the generated __setattr__ names the class
+        # that slots=True replaces.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            self.RECORD.extra = "x"
+        assert not hasattr(self.RECORD, "extra")
+
+    def test_eq_hash_and_repr(self):
+        values = tuple(getattr(self.RECORD, name) for name in CSV_HEADER)
+        twin = CheckIn(*values)
+        assert twin == self.RECORD and twin is not self.RECORD
+        assert hash(twin) == hash(self.RECORD) == hash(values)
+        assert dataclasses.replace(self.RECORD, lat=1.4) != self.RECORD
+        assert self.RECORD != values
+        assert repr(self.RECORD) == (
+            "CheckIn(checkin_id='c1', user_id='u1', timestamp=datetime.datetime("
+            "2023, 5, 1, 8, 0, tzinfo=datetime.timezone.utc), lat=1.3, lon=103.8, "
+            "category='Park', subcategory='Garden', gender='female', origin=None)"
+        )
+
+    def test_slotted(self):
+        assert not hasattr(self.RECORD, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(self.RECORD)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        parsed = parse_checkins(csv_source(
+            "c2,u2,2023-05-01T08:00:00Z,1.3,103.8,Park,,male,Japan"
+        )).checkins[0]
+        for record in (self.RECORD, parsed):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(record, protocol)) == record
+            clone = copy.deepcopy(record)
+            assert clone == record and type(clone) is CheckIn
+
+
+class TestTextSharing:
+    SHARED = ("user_id", "category", "subcategory", "gender", "origin")
+
+    @staticmethod
+    def write(tmp_path, fmt):
+        # equal text in both rows, padded in the second so that stripping
+        # makes a string of its own
+        ts = datetime(2023, 5, 1, 8, tzinfo=timezone.utc)
+        rows = [
+            CheckIn("c1", "tourist-1", ts, 1.3, 103.8, "Nature Park", "Garden",
+                    "female", "Malaysia"),
+            CheckIn("c2", " tourist-1 ", ts, 1.3, 103.8, " Nature Park ", " Garden ",
+                    " female ", " Malaysia "),
+        ]
+        path = tmp_path / f"shared.{fmt}"
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            serialize_checkins(rows, fp, fmt)
+        return path
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_equal_values_share_one_string_per_call(self, tmp_path, fmt):
+        path = self.write(tmp_path, fmt)
+        first, second = parse_checkins(path, fmt).checkins
+        assert first.user_id == "tourist-1" and first.origin == "Malaysia"
+        for name in self.SHARED:
+            assert getattr(first, name) is getattr(second, name), name
+        again = parse_checkins(path, fmt).checkins[0]
+        assert again == first
+        for name in self.SHARED:
+            assert getattr(again, name) is not getattr(first, name), name
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_parsed_rows_stay_small(self, tmp_path, fmt):
+        # About 600 bytes a row when every record holds its own text and
+        # __dict__; about 270 when records are slotted and share their text.
+        path = tmp_path / f"sample.{fmt}"
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            serialize_checkins(generate_synthetic(GeneratorConfig(n_users=222), seed=5),
+                               fp, fmt)
+        parse_checkins(path, fmt)  # load whatever parsing imports lazily
+        tracemalloc.start()
+        try:
+            result = parse_checkins(path, fmt)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(result) > 1900 and not result.rejects
+        assert held / len(result) <= 400
+
+
 class TestActivityMap:
     MAP = ActivityMap((
         ActivityRule("*airport*", None),
@@ -462,6 +578,32 @@ class TestSequenceAssembly:
             (ci(ts="2023-05-01T08:00:00+00:00", cid="b"), "Nature"),
         ]}
         assert decoded(build_sequences(groups)) == [(("Nature",),)]
+
+    def test_one_item_elements_are_shared(self):
+        groups = {
+            ("u1", None): [
+                (ci(ts="2023-05-01T08:00:00+00:00", cid="a"), "Nature"),
+                (ci(ts="2023-05-01T09:00:00+00:00", cid="b"), "Shopping"),
+                (ci(ts="2023-05-01T09:00:00+00:00", cid="c"), "Nature"),
+                (ci(ts="2023-05-01T09:00:00+00:00", cid="d"), "Shopping"),
+                (ci(ts="2023-05-01T10:00:00+00:00", cid="e"), "Nature"),
+            ],
+            ("u2", None): [
+                (ci(user="u2", ts="2023-05-01T08:00:00+00:00", cid="f"), "Shopping"),
+                (ci(user="u2", ts="2023-05-01T11:00:00+00:00", cid="g"), "Nature"),
+            ],
+        }
+        db = build_sequences(groups)
+        nature, shopping = db.dictionary.encode("Nature"), db.dictionary.encode("Shopping")
+        (n1, pair, n2), (s1, n3) = db.sequences
+        assert n1 == n2 == n3 == (nature,) and s1 == (shopping,)
+        assert n1 is n2 is n3
+        assert pair == tuple(sorted((nature, shopping)))
+        by_value = {}
+        for seq in db.sequences:
+            for elem in seq:
+                if len(elem) == 1:
+                    assert by_value.setdefault(elem, elem) is elem
 
     def test_negative_resolution_rejected(self):
         # No entry point takes a merge window.
