@@ -52,7 +52,11 @@ class CheckIn:
 
     Slotted, so a record has no ``__dict__`` and takes no weak references.
     The records of one parse_checkins call share one string object per
-    distinct user_id, category, subcategory, gender and origin."""
+    distinct user_id, category, subcategory, gender and origin.
+    parse_checkins fills each record's slots by plain stores into a private
+    class with the same ``__slots__`` and then sets its ``__class__`` to
+    CheckIn, which skips the nine ``object.__setattr__`` calls of the frozen
+    ``__init__``; the result is an ordinary CheckIn in every respect."""
 
     checkin_id: str
     user_id: str
@@ -104,6 +108,24 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
+class _Draft:
+    """A CheckIn's slots filled by plain stores; set ``__class__`` to CheckIn."""
+
+    __slots__ = CheckIn.__slots__
+
+    def __init__(self, checkin_id, user_id, timestamp, lat, lon, category,
+                 subcategory, gender, origin):
+        self.checkin_id = checkin_id
+        self.user_id = user_id
+        self.timestamp = timestamp
+        self.lat = lat
+        self.lon = lon
+        self.category = category
+        self.subcategory = subcategory
+        self.gender = gender
+        self.origin = origin
+
+
 def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> CheckIn | str:
     """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected.
 
@@ -123,8 +145,9 @@ def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> Check
         ts = _parse_timestamp(ts_text)
     except (ValueError, OverflowError):
         return f"bad timestamp {raw_ts!r}"
-    if isinstance(lat, bool) or isinstance(lon, bool):
-        # float(True) is 1.0; a JSON boolean is no more a number than CSV "True"
+    # float() reads True as 1.0 and "1_3" as 13.0; neither is a coordinate
+    if (isinstance(lat, bool) or isinstance(lon, bool)
+            or isinstance(lat, str) and "_" in lat or isinstance(lon, str) and "_" in lon):
         return "non-numeric coordinates"
     try:
         lat = float(lat)
@@ -139,12 +162,13 @@ def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> Check
     subcategory = str(subcategory or "").strip()
     gender = str(gender or "").strip() or None
     origin = str(origin or "").strip() or None
-    checkin = CheckIn(  # positional, in field order: keywords cost more per row
+    checkin = _Draft(  # positional, in field order: keywords cost more per row
         cid, share(user_id, user_id), ts, lat, lon, share(category, category),
         share(subcategory, subcategory),
         gender and share(gender, gender),
         origin and share(origin, origin),
     )
+    checkin.__class__ = CheckIn
     seen_ids.add(cid)
     return checkin
 
@@ -169,25 +193,36 @@ def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, list[str] | str]]:
         raise FormatError(f"line {reader.line_num}: {exc}")
 
 
-# json.loads without its per-call argument checks: same grammar, same ValueErrors
-_decode_json = json.JSONDecoder().decode
+# The scanner json.loads runs between its skips of JSON whitespace: one value
+# from an index, raising StopIteration where none starts.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
 
 
 def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
     """Each non-blank line's number and its fields in CSV_HEADER order, or why
-    it is rejected; a missing or null field reads as empty."""
+    it is rejected; a missing or null field reads as empty.
+
+    A line is one JSON value with JSON whitespace around it, as json.loads
+    reads it; a line of only whitespace of any kind is blank."""
     for line_no, line in enumerate(fp, start=1):
-        if not line.strip():
+        text = line.strip(_JSON_SPACE)
+        if not text:
             continue
         try:
-            obj = _decode_json(line)
-        except (ValueError, RecursionError):
-            yield line_no, "invalid JSON"
+            obj, end = _scan_json(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(text):
+            if not text.isspace():
+                yield line_no, "invalid JSON"
             continue
         if not isinstance(obj, dict):
             yield line_no, "expected a JSON object"
             continue
-        row = ["" if (v := obj.get(k)) is None else v for k in CSV_HEADER]
+        row = list(map(obj.get, CSV_HEADER))
+        if None in row:
+            row = ["" if v is None else v for v in row]
         # only a line with a "[" or a second "{" can hold a list or an object
         if "[" in line or line.count("{") > 1:
             nested = [k for k, v in zip(CSV_HEADER, row) if isinstance(v, (list, dict))]

@@ -253,8 +253,13 @@ def _match(a: Sequence, b: Sequence, start: int = 0) -> tuple[int, int] | None:
     j = start
     first = -1
     for elem in b.elements:
-        while j < n and not _is_subset(elem, elements[j]):
-            j += 1
+        if len(elem) == 1:  # most elements; membership is the whole subset test
+            x = elem[0]
+            while j < n and x not in elements[j]:
+                j += 1
+        else:
+            while j < n and not _is_subset(elem, elements[j]):
+                j += 1
         if j == n:
             return None
         if first < 0:

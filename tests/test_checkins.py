@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import pickle
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -41,6 +42,8 @@ from seqmine.checkins import (
     _LAST_INSTANT,
     CSV_HEADER,
     DEFAULT_WINDOWS,
+    _Draft,
+    _jsonl_rows,
     group_by_user,
     resolve_timezone,
 )
@@ -168,6 +171,19 @@ class TestParseCsv:
         ]
         assert [c.lat for c in result] == [1.3]
 
+    def test_underscored_coordinates_rejected(self):
+        # float() reads "1_3" as 13.0 and "10_3.8" as 103.8.
+        result = parse_checkins(csv_source(
+            "c1,u1,2023-05-01T08:00:00Z,1_3,103.8,Park,,,",
+            "c2,u1,2023-05-01T08:00:00Z,1.3,10_3.8,Park,,,",
+            "c3,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "non-numeric coordinates"),
+            (3, "non-numeric coordinates"),
+        ]
+        assert [c.checkin_id for c in result] == ["c3"]
+
     def test_rows_of_only_separators_are_skipped(self):
         result = parse_checkins(csv_source(
             ",,,,,,,,",
@@ -247,6 +263,18 @@ class TestParseJsonl:
             (2, "lat out of range"),
         ]
         assert [c.lat for c in result] == [1.3]
+
+    def test_underscored_coordinate_strings_rejected(self):
+        row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":%s,"lon":%s,"category":"Park"}\n')
+        src = io.StringIO(row % (1, '"1_3"', "103.8") + row % (2, "1.3", '"10_3.8"')
+                          + row % (3, '"1.3"', '"103.8"'))
+        result = parse_checkins(src, format="jsonl")
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "non-numeric coordinates"),
+            (2, "non-numeric coordinates"),
+        ]
+        assert [(c.lat, c.lon) for c in result] == [(1.3, 103.8)]
 
     def test_several_missing_fields_name_the_first(self):
         src = io.StringIO(
@@ -376,6 +404,28 @@ class TestCheckInRecord:
                 assert pickle.loads(pickle.dumps(record, protocol)) == record
             clone = copy.deepcopy(record)
             assert clone == record and type(clone) is CheckIn
+
+    def test_parsed_record_is_a_plain_checkin(self):
+        # parse_checkins fills a private class with CheckIn's slots and then
+        # makes it a CheckIn; nothing may tell the two kinds of record apart.
+        assert _Draft.__slots__ == CheckIn.__slots__
+        parsed = parse_checkins(csv_source(
+            "c1,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,Garden,female,"
+        )).checkins[0]
+        built = CheckIn(*(getattr(self.RECORD, name) for name in CSV_HEADER))
+        assert type(parsed) is CheckIn and isinstance(parsed, CheckIn)
+        assert parsed == built == self.RECORD and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert sys.getsizeof(parsed) == sys.getsizeof(built)
+        moved = dataclasses.replace(parsed, category="Zoo")
+        assert type(moved) is CheckIn and moved.category == "Zoo"
+        assert parsed.category == "Park"
+        for name in CSV_HEADER:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(parsed, name, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(parsed, name)
+        assert parsed == built
 
 
 class TestTextSharing:
@@ -846,7 +896,94 @@ _ANCHORS = (
 )
 
 
+def _jsonl_rows_reference(fp):
+    """The JSONL reader as it was before it called the JSON scanner itself:
+    json.loads on the whole line."""
+    for line_no, line in enumerate(fp, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            yield line_no, "invalid JSON"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "expected a JSON object"
+            continue
+        row = ["" if (v := obj.get(k)) is None else v for k in CSV_HEADER]
+        if "[" in line or line.count("{") > 1:
+            nested = [k for k, v in zip(CSV_HEADER, row) if isinstance(v, (list, dict))]
+            if nested:
+                yield line_no, f"{nested[0]} is a JSON list or object"
+                continue
+        yield line_no, row
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+# Text json.dumps never writes: NaN and Infinity, an integer too long for
+# int(), nesting past the recursion limit, and broken values.
+_odd_json = st.sampled_from((
+    "NaN", "-Infinity", "Infinity", "1" * 5000, "-" + "9" * 5000, "[" * 100_000,
+    "[" * 50 + "]" * 50, '{"a": ' * 100_000, "nan", "tru", r'"\x"', '"a\tb"', "",
+))
+
+# JSON whitespace, whitespace that str.strip() removes but JSON does not, and
+# a byte-order mark
+_padding = st.text(st.sampled_from(" \t\x0c\x1c\xa0\u2028\ufeff"), max_size=3)
+
+
+@st.composite
+def _jsonl_line(draw):
+    kind = draw(st.sampled_from(("object", "object", "value", "odd")))
+    if kind == "object":
+        # each field missing, null or a JSON value, and now and then one odd
+        fields = draw(st.lists(
+            st.tuples(
+                st.sampled_from(CSV_HEADER + ("extra",)),
+                st.one_of(st.none(), _json_values,
+                          st.sampled_from(("c1", "2023-05-01T08:00:00Z", 1.3, " 1.3 "))
+                          ).map(json.dumps),
+            ),
+            max_size=len(CSV_HEADER) + 1,
+        ))
+        if draw(st.integers(0, 3)) == 0:
+            fields.insert(draw(st.integers(0, len(fields))), ("lat", draw(_odd_json)))
+        body = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields) + "}"
+    elif kind == "value":
+        body = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    else:
+        body = draw(_odd_json)
+    tail = draw(st.sampled_from(("", "", "x", "}", "]", "{}", ' {"a": 1}', "\x00", "\ufeff")))
+    return draw(_padding) + body + draw(_padding) + tail
+
+
 class TestIngestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(_jsonl_line(), max_size=6),
+        ends=st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=6, max_size=6),
+        last_end=st.booleans(),
+    )
+    @example(lines=["\x0c", " \x1c\xa0 ", "\x0c{}", '{"lat": 1} \xa0', "\t{}\t"],
+             ends=["\n", "\r", "\r\n", "\n", "\r", "\n"], last_end=False)
+    def test_jsonl_reader_matches_json_loads(self, lines, ends, last_end):
+        # Same (line_no, row or reason) list as json.loads line by line;
+        # rows compare by repr, so NaN equals NaN and 1 differs from 1.0.
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not last_end:
+            text = text.rstrip("\r\n")
+
+        def read(reader):
+            return [repr(item) for item in reader(io.StringIO(text, newline=""))]
+
+        assert read(_jsonl_rows) == read(_jsonl_rows_reference)
+
     @settings(max_examples=150, deadline=None)
     @given(
         tz=st.sampled_from(_ZONES),
