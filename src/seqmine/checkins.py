@@ -154,10 +154,10 @@ def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> Check
         lon = float(lon)
     except (TypeError, ValueError, OverflowError):
         return "non-numeric coordinates"
-    if not -90.0 <= lat <= 90.0:
-        return "lat out of range"
+    if not -90.0 <= lat <= 90.0:  # NaN fails every comparison: not a coordinate
+        return "non-numeric coordinates" if lat != lat or lon != lon else "lat out of range"
     if not -180.0 <= lon <= 180.0:
-        return "lon out of range"
+        return "non-numeric coordinates" if lon != lon else "lon out of range"
     share = texts.setdefault
     subcategory = str(subcategory or "").strip()
     gender = str(gender or "").strip() or None

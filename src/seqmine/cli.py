@@ -90,8 +90,12 @@ def _load_analysis_config(args) -> tuple:
 
 
 def cmd_mine(args) -> int:
+    # every settings error exits 2 before any input is read
     amap, windows = _load_analysis_config(args)
     tz = resolve_timezone(args.tz)
+    cfg = MinerConfig(min_support=args.min_support, max_length=args.max_length)
+    if args.top_k is not None and args.top_k < 0:
+        raise InvalidConfigError(f"top_k must be >= 0, got {args.top_k}")
     fmt = _detect_format(args.input, args.format)
     try:
         parsed = parse_checkins(args.input, fmt)
@@ -114,11 +118,8 @@ def cmd_mine(args) -> int:
         grouping=args.grouping,
     )
     db = result.database
-    cfg = MinerConfig(min_support=args.min_support, max_length=args.max_length)
     patterns = MINERS[args.miner](db, cfg)
-    report = build_report(
-        patterns, db, top_k=args.top_k, sort_key=args.sort
-    )
+    report = build_report(patterns, db, top_k=args.top_k, sort_key=args.sort)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Pattern-growth mining: recursive prefix extension over pseudo-projected databases.
+"""Pattern-growth mining: prefix extension over pseudo-projected databases.
 
 The projected database of a prefix is represented by positions into the
 original sequences (pseudo-projection) instead of copied suffixes, since
@@ -8,6 +8,10 @@ prefix by one item (an S-extension opening a new element, or an I-extension
 enlarging the last one) only ever advances these positions.  ``mine`` goes one
 step further: a node's scan starts straight from its parent's hit list, just
 past each hit, so no projected copy of the positions is ever built.
+
+``_grow`` is the depth-first search that both ``mine`` and ``spam.mine_spam``
+run: the output order, the ``max_length`` cut and the ``PatternSet`` are its
+alone, and a miner supplies only how a node's extensions are found.
 """
 
 from __future__ import annotations
@@ -229,8 +233,8 @@ def frequent_extensions(
     """
     decode = pdb.base.dictionary.decode
     return [
-        Extension(Item(i, decode(i)), kind, len(hits))
-        for kind, i, hits in _extensions(pdb, min_count)
+        Extension(Item(i, decode(i)), kind, count)
+        for kind, i, count, _ in _extensions(pdb, min_count)
     ]
 
 
@@ -250,7 +254,7 @@ def project(pdb: ProjectedDatabase, ext: Extension) -> ProjectedDatabase:
             raise ValueError("I-extension item must be ordered after the last element")
     elif ext.kind != S_EXTENSION:
         raise ValueError(f"unknown extension kind: {ext.kind!r}")
-    hits = [h for kind, i, h in _extensions(pdb, 1) if (kind, i) == (ext.kind, item)]
+    hits = [h for kind, i, _, h in _extensions(pdb, 1) if (kind, i) == (ext.kind, item)]
     grown = Sequence(_grown(pdb.prefix.elements, ext.kind, item))
     return _projected(grown, hits[0] if hits else [], pdb.base)
 
@@ -264,10 +268,10 @@ def projection_table(
     conventional tabulation where infrequent items are elided.
     """
     exts = _extensions(ProjectedDatabase.root(db), min_count)
-    include = [i for _, i, _ in exts]
+    include = [i for _, i, _, _ in exts]
     return {
         db.dictionary.decode(i): _projected(Sequence(((i,),)), hits, db).render(include)
-        for _, i, hits in exts
+        for _, i, _, hits in exts
     }
 
 
@@ -277,29 +281,36 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     Output is canonical, duplicate-free and lexicographically ordered.
     """
     min_count = cfg.resolve_min_count(len(db))
-    max_length = cfg.max_length
     seqs = [s.elements for s in db.sequences]
-    patterns: list[Pattern] = []
+    roots = _scan(seqs, (), [(si, 0, -1) for si, s in enumerate(seqs) if s], min_count)
+    return _grow(db, cfg, roots,
+                 lambda elements, hits: _scan(seqs, elements[-1], hits, min_count))
 
-    # Depth-first over S-extensions then I-extensions, each by ascending
-    # item id, which emits the patterns already in canonical order.  Pushing
-    # them in reverse keeps that order without recursion; a pattern's hits
-    # are scanned only if it grows further.  Each stack entry carries the
-    # parent's elements and item count.
-    exts = _scan(seqs, (), [(si, 0, -1) for si, s in enumerate(seqs) if s], min_count)
-    stack = [((), 0, ext) for ext in reversed(exts)]
+
+def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand) -> PatternSet:
+    """Depth-first pattern search shared by both miners.
+
+    Each extension is ``(kind, item id, support, state)``; ``expand(elements,
+    state)`` lists a pattern's frequent extensions, S-extensions then
+    I-extensions, each by ascending item id.  Emitting a pattern before its
+    extensions then gives canonical order, and pushing them in reverse keeps
+    it without recursion.  A pattern is expanded only below ``max_length``
+    items; each stack entry carries its parent's elements and item count.
+    """
+    max_length = cfg.max_length
+    patterns: list[Pattern] = []
+    stack = [((), 0, ext) for ext in reversed(roots)]
     while stack:
-        parent, n_items, (kind, item, hits) = stack.pop()
+        parent, n_items, (kind, item, support, state) = stack.pop()
         elements = _grown(parent, kind, item)
         n_items += 1
-        patterns.append(Pattern(Sequence(elements), len(hits)))
+        patterns.append(Pattern(Sequence(elements), support))
         if max_length is None or n_items < max_length:
-            exts = _scan(seqs, elements[-1], hits, min_count)
-            stack.extend((elements, n_items, ext) for ext in reversed(exts))
+            stack.extend((elements, n_items, ext) for ext in reversed(expand(elements, state)))
     return PatternSet(tuple(patterns), len(db), db.dictionary)
 
 
-def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, list]]:
+def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, int, list]]:
     """_scan over pdb's entries, each as the start just before its suffix."""
     starts = [(si, eo, io - 1 if io else -1) for si, eo, io in pdb.entries]
     last = pdb.prefix.elements[-1] if pdb.prefix else ()
@@ -308,14 +319,15 @@ def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, 
 
 def _scan(
     seqs: list[tuple[Element, ...]], last: Element, starts: list, min_count: int
-) -> list[tuple[str, int, list]]:
-    """(kind, item id, hits) of each frequent extension, found in one pass.
+) -> list[tuple[str, int, int, list]]:
+    """(kind, item id, support, hits) of each frequent extension, in one pass.
 
     ``last`` is the prefix's last element, and each start (sequence, element,
     item index) is where one earliest occurrence of the prefix ends: the
     suffix begins just past it, and item index -1 starts at a whole element.
     ``hits`` holds the earliest occurrence of the extension in each sequence
-    that has one, in the same form, so its length is the support.
+    that has one, in the same form, so its length is the support.  The
+    extensions come S first, then I, each by ascending item id.
     """
     lmax = last[-1] if last else -1
     multi = len(last) > 1
@@ -352,7 +364,8 @@ def _scan(
                     i_seen.add(elem[k])
                     i_hits[elem[k]].append((si, j, k))
     return [
-        (kind, i, hits[i]) for kind, hits in ((S_EXTENSION, s_hits), (I_EXTENSION, i_hits))
+        (kind, i, len(hits[i]), hits[i])
+        for kind, hits in ((S_EXTENSION, s_hits), (I_EXTENSION, i_hits))
         for i in sorted(hits) if len(hits[i]) >= min_count
     ]
 

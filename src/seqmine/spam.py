@@ -1,4 +1,4 @@
-"""Vertical bitmap mining: depth-first search over per-item position bitmaps.
+"""Vertical bitmap mining: pattern extensions found from per-item position bitmaps.
 
 Each database sequence occupies one lane column; bit j of an item's column is
 set when the item occurs in element j.  A pattern's bitmap marks every element
@@ -6,7 +6,8 @@ position at which an occurrence of the pattern can end, so support is just the
 number of non-zero columns.  Growing the pattern is pure word arithmetic:
 an I-step ANDs the item bitmap at the same positions, an S-step first
 transforms the pattern bitmap so that only positions strictly after the
-earliest end survive.
+earliest end survive.  The search itself is ``prefixspan._grow``, the driver
+that the pattern-growth miner runs too.
 
 Sequences are bucketed into fixed lanes of 8/16/32/64-bit words by element
 count, so short sequences (the common case in click-stream shaped data) do not
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Element, Sequence, SequenceDatabase
+from .core import SequenceDatabase
 from .errors import CapacityExceededError
-from .prefixspan import MinerConfig, Pattern, PatternSet
+from .prefixspan import I_EXTENSION, S_EXTENSION, MinerConfig, PatternSet, _grow
 
 #: Lane widths, narrowest first, and their word types.
 _LANE_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
@@ -144,57 +145,36 @@ def i_step(
 def mine_spam(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     """Complete pattern set, identical to the pattern-growth miner's output.
 
-    Candidate lists shrink down the search tree: an item that fails as an
-    extension of a pattern cannot succeed for any descendant, because the
-    descendant's bitmap is a subset and the S-transform is monotone under
-    bit removal.
+    A node's state is its bitmap and its candidate lists, which shrink down
+    the search tree: an item that fails as an extension of a pattern cannot
+    succeed for any descendant, because the descendant's bitmap is a subset
+    and the S-transform is monotone under bit removal.
     """
     min_count = cfg.resolve_min_count(len(db))
-    if len(db) == 0:
-        return PatternSet((), 0, db.dictionary)
     index = VerticalBitmapIndex(db)
     item_bms = [index.item_bitmap(i) for i in range(index.n_items)]
     supports = [index.support(bm) for bm in item_bms]
     top = [i for i in range(index.n_items) if supports[i] >= min_count]
-    max_length = cfg.max_length
 
-    patterns: list[Pattern] = []
+    and_bitmaps, support = index.and_bitmaps, index.support
 
-    def dfs(
-        elems: list[Element],
-        bm: Bitmap,
-        support: int,
-        s_cands: list[int],
-        i_cands: list[int],
-    ) -> None:
-        patterns.append(Pattern(Sequence(tuple(elems)), support))
-        if max_length is not None and sum(len(e) for e in elems) >= max_length:
-            return
-        trans = index.s_transform(bm)
-        s_next = []
-        for x in s_cands:
-            nb = index.and_bitmaps(trans, item_bms[x])
-            c = index.support(nb)
-            if c >= min_count:
-                s_next.append((x, nb, c))
+    def survivors(bm: Bitmap, cands) -> list[tuple[int, Bitmap, int]]:
+        out = []
+        for x in cands:
+            nb = and_bitmaps(bm, item_bms[x])
+            if (c := support(nb)) >= min_count:
+                out.append((x, nb, c))
+        return out
+
+    def expand(elements, state):
+        # of the parent's survivors, only items above the last one I-extend
+        bm, s_cands, i_cands = state
+        s_next = survivors(index.s_transform(bm), s_cands)
+        i_next = survivors(bm, [y for y in i_cands if y > elements[-1][-1]])
         s_keep = [x for x, _, _ in s_next]
-        for x, nb, c in s_next:
-            dfs(elems + [(x,)], nb, c, s_keep, [y for y in s_keep if y > x])
-        i_next = []
-        for y in i_cands:
-            nb = index.and_bitmaps(bm, item_bms[y])
-            c = index.support(nb)
-            if c >= min_count:
-                i_next.append((y, nb, c))
         i_keep = [y for y, _, _ in i_next]
-        last = elems[-1]
-        for y, nb, c in i_next:
-            dfs(elems[:-1] + [last + (y,)], nb, c, s_keep,
-                [z for z in i_keep if z > y])
+        return ([(S_EXTENSION, x, c, (nb, s_keep, s_keep)) for x, nb, c in s_next]
+                + [(I_EXTENSION, y, c, (nb, s_keep, i_keep)) for y, nb, c in i_next])
 
-    # Items ascend and each node emits itself, then its S-, then its
-    # I-extensions, so the DFS emits patterns already in canonical order.
-    for item in top:
-        dfs([(item,)], item_bms[item], supports[item], top,
-            [y for y in top if y > item])
-    return PatternSet(tuple(patterns), len(db), db.dictionary)
+    roots = [(S_EXTENSION, x, supports[x], (item_bms[x], top, top)) for x in top]
+    return _grow(db, cfg, roots, expand)

@@ -184,6 +184,26 @@ class TestParseCsv:
         ]
         assert [c.checkin_id for c in result] == ["c3"]
 
+    def test_nan_coordinates_are_non_numeric(self):
+        # float() reads "nan", which fails every range test; infinity does
+        # not, so it stays out of range.
+        result = parse_checkins(csv_source(
+            "c1,u1,2023-05-01T08:00:00Z,nan,103.8,Park,,,",
+            "c2,u1,2023-05-01T08:00:00Z,1.3,NaN,Park,,,",
+            "c3,u1,2023-05-01T08:00:00Z,95,-nan,Park,,,",
+            "c4,u1,2023-05-01T08:00:00Z,inf,103.8,Park,,,",
+            "c5,u1,2023-05-01T08:00:00Z,1.3,-inf,Park,,,",
+            "c6,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,",
+        ))
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (2, "non-numeric coordinates"),
+            (3, "non-numeric coordinates"),
+            (4, "non-numeric coordinates"),
+            (5, "lat out of range"),
+            (6, "lon out of range"),
+        ]
+        assert [c.checkin_id for c in result] == ["c6"]
+
     def test_rows_of_only_separators_are_skipped(self):
         result = parse_checkins(csv_source(
             ",,,,,,,,",
@@ -263,6 +283,21 @@ class TestParseJsonl:
             (2, "lat out of range"),
         ]
         assert [c.lat for c in result] == [1.3]
+
+    def test_nan_coordinates_are_non_numeric(self):
+        row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'
+               '"lat":%s,"lon":%s,"category":"Park"}\n')
+        src = io.StringIO(row % (1, "NaN", "103.8") + row % (2, "1.3", '"nan"')
+                          + row % (3, '"nan"', "NaN") + row % (4, "1.3", "-Infinity")
+                          + row % (5, "1.3", "103.8"))
+        result = parse_checkins(src, format="jsonl")
+        assert [(r.line_no, r.reason) for r in result.rejects] == [
+            (1, "non-numeric coordinates"),
+            (2, "non-numeric coordinates"),
+            (3, "non-numeric coordinates"),
+            (4, "lon out of range"),
+        ]
+        assert [c.checkin_id for c in result] == ["c5"]
 
     def test_underscored_coordinate_strings_rejected(self):
         row = ('{"checkin_id":"c%d","user_id":"u1","timestamp":"2023-05-01T08:00:00Z",'

@@ -139,6 +139,19 @@ class TestMine:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "top_k" in err[0]
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--max-length", "0", "max_length"),
+        ("--top-k", "-1", "top_k"),
+    ])
+    def test_settings_checked_before_input_is_read(self, tmp_path, capsys,
+                                                   flag, value, name):
+        code = main(["mine", "--input", str(tmp_path / "nope.csv"), flag, value,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         code = main(["mine", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "out")])

@@ -191,6 +191,25 @@ class TestMineSpam:
         got = mine_spam(db, MinerConfig(min_support=min_count)).as_dict()
         assert got == expected
 
+    @given(seed=st.integers(0, 10_000), min_count=st.integers(1, 3),
+           max_length=st.sampled_from((None, 1, 2, 3)))
+    @settings(max_examples=80, deadline=None)
+    def test_length_cut_matches_pattern_growth_and_reference(self, seed, min_count,
+                                                              max_length):
+        # The same patterns in the same order, not only the same set.
+        raw = oracle.random_db(random.Random(seed))
+        db = as_database(raw)
+        cfg = MinerConfig(min_support=min_count, max_length=max_length)
+        by_bitmap, by_growth = mine_spam(db, cfg), mine(db, cfg)
+        assert list(by_bitmap) == list(by_growth)
+        expected = oracle.mine_exhaustive(raw, min_count, max_items=max_length)
+        assert by_bitmap.as_dict() == by_growth.as_dict() == expected
+
+    @pytest.mark.parametrize("miner", [mine, mine_spam])
+    def test_empty_database_at_fractional_support(self, miner):
+        got = miner(SequenceDatabase.from_raw([]), MinerConfig(min_support=0.5))
+        assert (len(got), got.n_sequences) == (0, 0)
+
     @given(
         raw=st.lists(
             st.lists(
