@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -418,23 +417,26 @@ def segment_windows(
     A check-in's local time is its instant at tz's UTC offset at that
     instant.  A check-in joins every window containing its local time
     (windows may overlap); one outside all windows joins no group.
+    Groups hold the input pairs themselves, not copies.
     """
     window_list = list(windows)
     groups: Groups = {}
-    for c, activity in tagged:
+    for pair in tagged:
+        c = pair[0]
         local = c.timestamp.astimezone(tz)
         minute = local.hour * 60 + local.minute
         for w in window_list:
             if w.contains(minute):
-                groups.setdefault((c.user_id, w.name), []).append((c, activity))
+                groups.setdefault((c.user_id, w.name), []).append(pair)
     return groups
 
 
 def group_by_user(tagged: Iterable[tuple[CheckIn, str]]) -> Groups:
-    """Whole-trip grouping: one (user, None) group per user."""
+    """Whole-trip grouping: one (user, None) group per user.
+    Groups hold the input pairs themselves, not copies."""
     groups: Groups = {}
-    for c, activity in tagged:
-        groups.setdefault((c.user_id, None), []).append((c, activity))
+    for pair in tagged:
+        groups.setdefault((pair[0].user_id, None), []).append(pair)
     return groups
 
 
@@ -450,25 +452,24 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     at the same instant does not matter.  Activities are encoded once per
     database, from one dictionary of all the groups' activities, and the
     one-item elements of an activity are one shared tuple.  A sequence is
-    named ``user``, or ``user|window`` for a windowed group.
+    named ``user``, or ``user|window`` for a windowed group.  The groups'
+    pairs are read in place; none is copied.
     """
     dictionary = ItemDictionary.from_labels(
         activity for records in groups.values() for _, activity in records
     )
     single = {label: (i,) for i, label in enumerate(dictionary.labels)}
-    by_instant = itemgetter(0)
     sequences = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        pairs = [(c.timestamp, single[activity]) for c, activity in groups[(user_id, window)]]
         elements: list[tuple[int, ...]] = []
         instant = None
-        for ts, item in sorted(pairs, key=by_instant):
-            if ts == instant:
-                elements[-1] += item
+        for c, activity in sorted(groups[(user_id, window)], key=lambda p: p[0].timestamp):
+            if c.timestamp == instant:
+                elements[-1] += single[activity]
             else:
-                elements.append(item)
-                instant = ts
+                elements.append(single[activity])
+                instant = c.timestamp
         sequences.append(Sequence.from_ids(elements))  # sorts and dedupes each element
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
     return SequenceDatabase(tuple(sequences), tuple(seq_ids), dictionary)

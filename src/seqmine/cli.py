@@ -118,6 +118,8 @@ def cmd_mine(args) -> int:
         grouping=args.grouping,
     )
     db = result.database
+    dropped, rejected = result.tag_result.dropped, len(parsed.rejects)
+    del parsed, result  # only the counts outlive the records: mining reuses their memory
     patterns = MINERS[args.miner](db, cfg)
     report = build_report(patterns, db, top_k=args.top_k, sort_key=args.sort)
 
@@ -132,9 +134,8 @@ def cmd_mine(args) -> int:
     with open(out_dir / "report.jsonl", "w", encoding="utf-8") as fp:
         write_report_jsonl(report, fp)
     print(
-        f"sequences={len(db)} dropped={result.tag_result.dropped} "
-        f"rejected={len(parsed.rejects)} patterns={len(patterns)} "
-        f"report_rows={len(report)} out={out_dir}"
+        f"sequences={len(db)} dropped={dropped} rejected={rejected} "
+        f"patterns={len(patterns)} report_rows={len(report)} out={out_dir}"
     )
     return EXIT_OK
 

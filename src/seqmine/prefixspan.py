@@ -41,11 +41,12 @@ I_EXTENSION = "I"
 
 
 class ProjectionEntry(NamedTuple):
-    """Where the suffix of one database sequence begins.
+    """Where the earliest occurrence of the prefix ends in one sequence.
 
-    A nonzero ``item_offset`` is the first unconsumed item position within a
-    partially consumed element (the "_" case); zero means the suffix starts
-    at a whole element.
+    The suffix begins just past item ``item_offset`` of element
+    ``elem_offset``: the rest of that element is the open partial (the "_"
+    case), if any.  An ``item_offset`` of -1 (the root) starts the suffix at
+    the whole element.
     """
 
     seq_index: int
@@ -167,7 +168,7 @@ class ProjectedDatabase:
     @classmethod
     def root(cls, db: SequenceDatabase) -> "ProjectedDatabase":
         entries = tuple(
-            ProjectionEntry(i, 0, 0)
+            ProjectionEntry(i, 0, -1)
             for i, s in enumerate(db.sequences)
             if s.elements
         )
@@ -185,8 +186,8 @@ class ProjectedDatabase:
         out = []
         for si, eo, io in self.entries:
             elements = self.base.sequences[si].elements
-            partial: Element | None = elements[eo][io:] if io else None
-            rest = elements[eo + 1 :] if io else elements[eo:]
+            partial: Element | None = (elements[eo][io + 1 :] or None) if io >= 0 else None
+            rest = elements[eo + 1 :] if io >= 0 else elements[eo:]
             if keep is not None:
                 if partial is not None:
                     partial = tuple(i for i in partial if i in keep) or None
@@ -311,10 +312,9 @@ def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand) -> Patter
 
 
 def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, int, list]]:
-    """_scan over pdb's entries, each as the start just before its suffix."""
-    starts = [(si, eo, io - 1 if io else -1) for si, eo, io in pdb.entries]
+    """_scan over pdb's entries."""
     last = pdb.prefix.elements[-1] if pdb.prefix else ()
-    return _scan([s.elements for s in pdb.base.sequences], last, starts, min_count)
+    return _scan([s.elements for s in pdb.base.sequences], last, pdb.entries, min_count)
 
 
 def _scan(
@@ -377,12 +377,10 @@ def _grown(elements: tuple[Element, ...], kind: str, item: int) -> tuple[Element
 
 
 def _projected(prefix: Sequence, hits: list, db: SequenceDatabase) -> ProjectedDatabase:
-    """Entries just past each hit; a hit that ends its sequence leaves none."""
+    """The hits as entries, less those that end their sequence."""
     entries = []
     for si, j, k in hits:
         seq = db.sequences[si].elements
-        if k + 1 < len(seq[j]):
-            entries.append(ProjectionEntry(si, j, k + 1))
-        elif j + 1 < len(seq):
-            entries.append(ProjectionEntry(si, j + 1, 0))
+        if j + 1 < len(seq) or k + 1 < len(seq[j]):
+            entries.append(ProjectionEntry(si, j, k))
     return ProjectedDatabase(prefix, tuple(entries), db)

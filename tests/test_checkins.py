@@ -871,6 +871,13 @@ class TestRunPipeline:
         groups = group_by_user(tagged.tagged)
         assert set(groups) == {("u1", None)}
 
+    @pytest.mark.parametrize("group", [group_by_user, segment_windows])
+    def test_groups_hold_the_tagged_pairs_themselves(self, group):
+        tagged = apply_activity_map(self.CHECKINS, self.MAP).tagged
+        members = [pair for pairs in group(tagged).values() for pair in pairs]
+        assert members
+        assert all(any(pair is t for t in tagged) for pair in members)
+
 
 # ---------------------------------------------------------------------------
 # ingest properties

@@ -292,6 +292,18 @@ class TestMine:
                      "--out", str(tmp_path / "out")]) == 0
         assert "rejected line 3" in capsys.readouterr().err
 
+    def test_summary_counts_drops_and_rejects(self, tmp_path, capsys):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "checkin_id,user_id,timestamp,lat,lon,category,subcategory,gender,origin\n"
+            "c1,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,\n"
+            "c2,u1,2023-05-01T09:00:00Z,1.3,103.8,Changi Airport,,,\n"
+            "c3,u1,bad-time,1.3,103.8,Park,,,\n"
+        )
+        assert main(["mine", "--input", str(path), "--min-support", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "dropped=1 rejected=1 " in capsys.readouterr().out
+
     def test_library_error_exits_with_one_line(self, tmp_path, capsys):
         # Trips of 70-80 check-ins exceed the bitmap miner's 64-element lanes.
         path = tmp_path / "long.csv"

@@ -134,6 +134,29 @@ class TestProjectionTable:
         pdb = project(root, Extension(e, S_EXTENSION, 2))
         assert len(pdb.suffixes()) == 2
 
+    def test_every_entry_has_a_suffix(self, letters_db):
+        root = ProjectedDatabase.root(letters_db)
+        for item, count in frequent_items(letters_db, 1):
+            pdb = project(root, Extension(item, S_EXTENSION, count))
+            assert len(pdb) == len(pdb.suffixes())
+
+
+class TestProjectionEntries:
+    """An entry marks where the earliest occurrence of the prefix ends."""
+
+    def test_root_entries_start_before_each_first_element(self, letters_db):
+        root = ProjectedDatabase.root(letters_db)
+        assert root.entries == tuple((i, 0, -1) for i in range(len(LETTER_ROWS)))
+
+    def test_occurrence_ending_inside_an_element_names_its_item(self, letters_db):
+        # b first occurs in (a b c) of sequence 0, (b c) of sequence 1 and
+        # (a b) of sequence 2: items 1, 0 and 1 of those elements
+        root = ProjectedDatabase.root(letters_db)
+        b = letters_db.dictionary.item("b")
+        pdb = project(root, Extension(b, S_EXTENSION, 4))
+        assert pdb.entries == ((0, 1, 1), (1, 2, 0), (2, 1, 1), (3, 4, 0))
+        assert pdb.suffixes()[0].leading_partial == (letters_db.dictionary.encode("c"),)
+
 
 # Complete mining result on the letter fixture at min_count=2, grouped by
 # first item.  53 patterns; single-letter elements render bare, multi-item
