@@ -12,9 +12,11 @@ check-ins at the same instant form a single element.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
@@ -234,6 +236,25 @@ def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
 _ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the body, then restore it.
+
+    The collector is process-wide, so the pause holds for every thread of the
+    process until the body exits.  A collector that was already disabled stays
+    disabled; an enabled one is enabled again also when the body raises.  The
+    pause only skips work: ingest's records form no reference cycles, which
+    tests/test_collector.py checks.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def parse_checkins(
     source: str | Path | IO[str], format: str = "csv"
 ) -> ParseResult:
@@ -256,12 +277,13 @@ def parse_checkins(
         rejects: list[RejectedRow] = []
         seen: set[str] = set()
         texts: dict[str, str] = {}
-        for line_no, fields in _ROW_READERS[format](fp):
-            row = fields if isinstance(fields, str) else _validate_row(fields, seen, texts)
-            if isinstance(row, str):
-                rejects.append(RejectedRow(line_no, row))
-            else:
-                checkins.append(row)
+        with _collector_paused():
+            for line_no, fields in _ROW_READERS[format](fp):
+                row = fields if isinstance(fields, str) else _validate_row(fields, seen, texts)
+                if isinstance(row, str):
+                    rejects.append(RejectedRow(line_no, row))
+                else:
+                    checkins.append(row)
         return ParseResult(tuple(checkins), tuple(rejects))
     except UnicodeDecodeError:
         raise FormatError("input is not UTF-8 text")
@@ -566,9 +588,10 @@ def run_pipeline(
     """
     if grouping not in ("window", "trip"):
         raise InvalidConfigError("grouping must be 'window' or 'trip'")
-    tag_result = apply_activity_map(checkins, activity_map)
-    if grouping == "trip":
-        groups = group_by_user(tag_result.tagged)
-    else:
-        groups = segment_windows(tag_result.tagged, windows, tz)
-    return PipelineResult(build_sequences(groups), tag_result)
+    with _collector_paused():
+        tag_result = apply_activity_map(checkins, activity_map)
+        if grouping == "trip":
+            groups = group_by_user(tag_result.tagged)
+        else:
+            groups = segment_windows(tag_result.tagged, windows, tz)
+        return PipelineResult(build_sequences(groups), tag_result)

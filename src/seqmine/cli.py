@@ -18,6 +18,7 @@ from pathlib import Path
 from .bench import MINERS, format_table, run_bench, write_bench_csv
 from .checkins import (
     DEFAULT_WINDOWS,
+    _collector_paused,
     default_config,
     load_config,
     parse_checkins,
@@ -248,10 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: each parser holds a few hundred objects in reference
+# cycles, which a command run under the paused collector would keep alive.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        with _collector_paused():
+            return args.func(args)
     except SystemExit as exc:  # --help, after argparse printed it
         return int(exc.code or 0)
     except InvalidConfigError as exc:
