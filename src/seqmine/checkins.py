@@ -54,10 +54,11 @@ class CheckIn:
     Slotted, so a record has no ``__dict__`` and takes no weak references.
     The records of one parse_checkins call share one string object per
     distinct user_id, category, subcategory, gender and origin.
-    parse_checkins fills each record's slots by plain stores into a private
-    class with the same ``__slots__`` and then sets its ``__class__`` to
-    CheckIn, which skips the nine ``object.__setattr__`` calls of the frozen
-    ``__init__``; the result is an ordinary CheckIn in every respect."""
+    parse_checkins and generate_synthetic fill each record's slots by plain
+    stores into a private class with the same ``__slots__`` and then set its
+    ``__class__`` to CheckIn, which skips the nine ``object.__setattr__``
+    calls of the frozen ``__init__``; the result is an ordinary CheckIn in
+    every respect."""
 
     checkin_id: str
     user_id: str

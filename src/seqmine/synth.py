@@ -13,12 +13,16 @@ from __future__ import annotations
 import csv
 import json
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, time, timedelta, timezone
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from numbers import Real
 from typing import IO, Iterable
 
-from .checkins import CSV_HEADER, CheckIn
+from .checkins import CSV_HEADER, CheckIn, _Draft
 from .errors import InvalidConfigError
 
 GENDERS = ("female", "male", "undisclosed")
@@ -134,16 +138,34 @@ LAT_RANGE = (1.24, 1.46)
 LON_RANGE = (103.60, 104.04)
 UTC_OFFSET_MINUTES = 480
 
-# Cumulative weights give random.choices the same draws as the weights
-# themselves, without summing the table again on every draw.
+# Cumulative weights, bisected as random.choices bisects them, and each
+# table's total as random.choices computes it.
 _GENDER_CUM_WEIGHTS = tuple(accumulate(DEFAULT_GENDER_WEIGHTS))
 _HOUR_CUM_WEIGHTS = tuple(accumulate(DEFAULT_HOUR_WEIGHTS))
 _CATEGORY_CUM_WEIGHTS = tuple(accumulate(w for _, _, w in DEFAULT_CATEGORIES))
+_CATEGORY_PAIRS = tuple((category, sub) for category, sub, _ in DEFAULT_CATEGORIES)
+_GENDER_TOTAL = _GENDER_CUM_WEIGHTS[-1] + 0.0
+_HOUR_TOTAL = _HOUR_CUM_WEIGHTS[-1] + 0.0
+_CATEGORY_TOTAL = _CATEGORY_CUM_WEIGHTS[-1] + 0.0
+_CATEGORY_HI = len(_CATEGORY_PAIRS) - 1
+
+# Local midnight of START_DATE as a UTC instant: a generated timestamp is this
+# plus a whole number of minutes.
+_BASE = (datetime.combine(START_DATE, time(), timezone.utc)
+         - timedelta(minutes=UTC_OFFSET_MINUTES))
+_MINUTE = timedelta(minutes=1)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Corpus size and trip lengths; defaults give the tourist shape."""
+    """Corpus size and trip lengths; defaults give the tourist shape.
+
+    Counts are ints (not bools) and weights finite positive reals, so every
+    accepted config can be generated."""
 
     n_users: int = 1057
     checkins_min: int = 8
@@ -151,21 +173,34 @@ class GeneratorConfig:
     length_weights: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_users < 0:
-            raise InvalidConfigError("n_users must be >= 0")
+        if not _is_count(self.n_users) or self.n_users < 0:
+            raise InvalidConfigError(f"n_users must be an int >= 0, got {self.n_users!r}")
         if self.length_weights is None:
-            if not 1 <= self.checkins_min <= self.checkins_max:
+            lo, hi = self.checkins_min, self.checkins_max
+            if not (_is_count(lo) and _is_count(hi) and 1 <= lo <= hi):
                 raise InvalidConfigError(
-                    "need 1 <= checkins_min <= checkins_max, got "
-                    f"{self.checkins_min} and {self.checkins_max}"
+                    "need ints with 1 <= checkins_min <= checkins_max, got "
+                    f"{lo!r} and {hi!r}"
                 )
-        else:
-            if not self.length_weights or any(
-                k < 1 or w <= 0 for k, w in self.length_weights
-            ):
-                raise InvalidConfigError(
-                    "length_weights needs positive counts and weights"
-                )
+            return
+        try:  # unpacked as generate_synthetic unpacks them
+            counts = [k for k, _ in self.length_weights]
+            weights = [w for _, w in self.length_weights]
+        except (TypeError, ValueError):
+            counts = weights = []
+        if not counts or not all(_is_count(k) and k >= 1 for k in counts) or not all(
+            isinstance(w, Real) and w > 0 for w in weights
+        ):
+            raise InvalidConfigError(
+                "length_weights needs (count, weight) pairs with int counts >= 1 "
+                "and positive weights"
+            )
+        try:  # the total as random.choices computes it
+            finite = isfinite(list(accumulate(weights))[-1] + 0.0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidConfigError("length_weights must have a finite total")
 
 
 SINGAPORE_SHAPE = GeneratorConfig()
@@ -183,76 +218,125 @@ def bms_shape(n_sequences: int = 30000) -> GeneratorConfig:
 
 
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> list[CheckIn]:
-    """The full check-in list for (cfg, seed); same inputs, same output."""
+    """The full check-in list for (cfg, seed); same inputs, same output.
+
+    Per user the draws are, in order: gender, origin, trip length, first
+    day and trip days; then day, hour and minute of each check-in; then,
+    with the timestamps sorted, the category, latitude and longitude of
+    each.  They are the draws ``random.Random(seed)``'s ``choices``,
+    ``choice``, ``randint``, ``randrange`` and ``uniform`` would make, taken
+    from its ``random`` and ``getrandbits`` directly, because those wrappers
+    cost several times the draws underneath them.  What keeps the numbers
+    identical: a weighted draw is ``bisect(cum, random() * total, 0, n - 1)``
+    with ``total = cum[-1] + 0.0``, as in ``choices``; a draw below n is
+    ``Random._randbelow_with_getrandbits``'s ``getrandbits(n.bit_length())``
+    loop, the same in Python 3.10 to 3.13; and ``uniform(a, b)`` is
+    ``a + (b - a) * random()``.  Timestamps are whole minutes from a UTC base
+    until sorted, and records are filled by slot stores as parse_checkins
+    fills them.
+    """
     rng = random.Random(seed)
-    if cfg.length_weights is not None:
+    rand = rng.random
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    weighted = cfg.length_weights is not None
+    if weighted:
         length_values = [k for k, _ in cfg.length_weights]
-        length_cum_weights = list(accumulate(w for _, w in cfg.length_weights))
-    offset = timedelta(minutes=UTC_OFFSET_MINUTES)
-    base = datetime.combine(START_DATE, datetime.min.time())
+        length_cum = list(accumulate(w for _, w in cfg.length_weights))
+        length_total, length_hi = length_cum[-1] + 0.0, len(length_cum) - 1
+    else:
+        fewest, spread = cfg.checkins_min, cfg.checkins_max - cfg.checkins_min + 1
+    lat_lo, lat_span = LAT_RANGE[0], LAT_RANGE[1] - LAT_RANGE[0]
+    lon_lo, lon_span = LON_RANGE[0], LON_RANGE[1] - LON_RANGE[0]
     out: list[CheckIn] = []
+    append = out.append
     counter = 0
     for u in range(cfg.n_users):
         user_id = f"u{u:05d}"
-        gender = rng.choices(GENDERS, cum_weights=_GENDER_CUM_WEIGHTS)[0]
-        origin = rng.choice(DEFAULT_ORIGINS)
-        if cfg.length_weights is None:
-            n = rng.randint(cfg.checkins_min, cfg.checkins_max)
+        gender = GENDERS[bisect(_GENDER_CUM_WEIGHTS, rand() * _GENDER_TOTAL, 0, 2)]
+        origin = DEFAULT_ORIGINS[below(len(DEFAULT_ORIGINS))]
+        if weighted:
+            n = length_values[bisect(length_cum, rand() * length_total, 0, length_hi)]
         else:
-            n = rng.choices(length_values, cum_weights=length_cum_weights)[0]
-        first_day = rng.randrange(N_DAYS)
-        trip_days = rng.randint(1, MAX_TRIP_DAYS)
-        stamps = []
-        for _ in range(n):
-            day = first_day + rng.randrange(trip_days)
-            hour = rng.choices(range(24), cum_weights=_HOUR_CUM_WEIGHTS)[0]
-            minute = rng.randrange(60)
-            stamps.append(base + timedelta(days=day, hours=hour, minutes=minute))
+            n = fewest + below(spread)
+        first_day = below(N_DAYS)
+        trip_days = 1 + below(MAX_TRIP_DAYS)
+        # operands evaluate left to right: day, then hour, then minute
+        stamps = [
+            (first_day + below(trip_days)) * 1440
+            + 60 * bisect(_HOUR_CUM_WEIGHTS, rand() * _HOUR_TOTAL, 0, 23)
+            + below(60)
+            for _ in range(n)
+        ]
         stamps.sort()
-        for local in stamps:
+        for m in stamps:
             counter += 1
-            category, subcategory, _ = rng.choices(
-                DEFAULT_CATEGORIES, cum_weights=_CATEGORY_CUM_WEIGHTS
-            )[0]
-            lat = round(rng.uniform(*LAT_RANGE), 6)
-            lon = round(rng.uniform(*LON_RANGE), 6)
-            out.append(
-                CheckIn(
-                    checkin_id=f"c{counter:07d}",
-                    user_id=user_id,
-                    timestamp=(local - offset).replace(tzinfo=timezone.utc),
-                    lat=lat,
-                    lon=lon,
-                    category=category,
-                    subcategory=subcategory,
-                    gender=gender,
-                    origin=origin,
-                )
+            category, subcategory = _CATEGORY_PAIRS[
+                bisect(_CATEGORY_CUM_WEIGHTS, rand() * _CATEGORY_TOTAL, 0, _CATEGORY_HI)
+            ]
+            record = _Draft(
+                f"c{counter:07d}", user_id, _BASE + _MINUTE * m,
+                round(lat_lo + lat_span * rand(), 6),
+                round(lon_lo + lon_span * rand(), 6),
+                category, subcategory, gender, origin,
             )
+            record.__class__ = CheckIn
+            append(record)
     return out
+
+
+# One JSONL line: json.dumps(dict(zip(CSV_HEADER, row))) with each value's
+# JSON text filled in.
+_JSONL_LINE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in CSV_HEADER) + "}\n"
 
 
 def serialize_checkins(
     checkins: Iterable[CheckIn], fp: IO[str], format: str = "csv"
 ) -> None:
-    """Write check-ins in the exact on-disk format parse_checkins reads."""
+    """Write check-ins in the exact on-disk format parse_checkins reads.
+
+    A JSONL line is the bytes ``json.dumps`` gives for the row as a dict in
+    CSV_HEADER order, filled into one template without building the dict: a
+    str value goes through ``encode_basestring_ascii``, the encoder
+    ``json.dumps`` itself calls for it, and a rounded coordinate that is a
+    finite float is its ``repr``, which is what ``json.dumps`` writes for
+    it.  Any other value (None, a number of another type, NaN) goes through
+    ``json.dumps``.
+    """
     if format not in ("csv", "jsonl"):
         raise InvalidConfigError("format must be 'csv' or 'jsonl'")
-    as_csv = format == "csv"
-    if as_csv:
+    if format == "csv":
         writer = csv.writer(fp)
         writer.writerow(CSV_HEADER)
+        for c in checkins:
+            # CSV writes coordinates as 6-decimal text and None as ""
+            coords = (f"{c.lat:.6f}", f"{c.lon:.6f}")
+            ts = c.timestamp.astimezone(timezone.utc).isoformat()
+            writer.writerow([c.checkin_id, c.user_id, ts, *coords,
+                             c.category, c.subcategory, c.gender, c.origin])
+        return
+    dumps, encode, line, write = json.dumps, encode_basestring_ascii, _JSONL_LINE, fp.write
+    utc = timezone.utc
     for c in checkins:
-        # CSV writes coordinates as 6-decimal text and None as "", JSONL
-        # writes them as numbers rounded to 6 places and None as null
-        coords = (
-            (f"{c.lat:.6f}", f"{c.lon:.6f}") if as_csv
-            else (round(c.lat, 6), round(c.lon, 6))
-        )
-        ts = c.timestamp.astimezone(timezone.utc).isoformat()
-        row = [c.checkin_id, c.user_id, ts, *coords,
-               c.category, c.subcategory, c.gender, c.origin]
-        if as_csv:
-            writer.writerow(row)
-        else:
-            fp.write(json.dumps(dict(zip(CSV_HEADER, row))) + "\n")
+        cid, user, category, sub, gender, origin = (
+            c.checkin_id, c.user_id, c.category, c.subcategory, c.gender, c.origin)
+        # coordinates as numbers rounded to 6 places, None as null
+        lat, lon = round(c.lat, 6), round(c.lon, 6)
+        write(line % (
+            encode(cid) if cid.__class__ is str else dumps(cid),
+            encode(user) if user.__class__ is str else dumps(user),
+            encode(c.timestamp.astimezone(utc).isoformat()),
+            repr(lat) if lat.__class__ is float and lat - lat == 0.0 else dumps(lat),
+            repr(lon) if lon.__class__ is float and lon - lon == 0.0 else dumps(lon),
+            encode(category) if category.__class__ is str else dumps(category),
+            encode(sub) if sub.__class__ is str else dumps(sub),
+            encode(gender) if gender.__class__ is str else dumps(gender),
+            encode(origin) if origin.__class__ is str else dumps(origin),
+        ))

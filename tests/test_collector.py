@@ -67,6 +67,18 @@ class TestNoCycles:
                 "--out", str(tmp_path / "out")]
         assert garbage_left(lambda: main(argv)) == 0
 
+    @pytest.mark.parametrize("shape", ["singapore", "bms"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_generate_leaves_no_garbage(self, tmp_path, capsys, shape, fmt):
+        argv = ["generate", "--shape", shape, "--users", "60", "--seed", "5",
+                "--out", str(tmp_path / f"checkins.{fmt}")]
+        assert garbage_left(lambda: main(argv)) == 0
+
+    def test_bench_leaves_no_garbage(self, capsys):
+        argv = ["bench", "--shape", "singapore", "--users", "50", "--supports", "2",
+                "--repeats", "1"]
+        assert garbage_left(lambda: main(argv)) == 0
+
 
 class TestCollectorPaused:
     @pytest.mark.parametrize("enabled", [True, False])
