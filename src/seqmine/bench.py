@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import IO, Callable, Iterable, Sequence as SequenceABC
 
-from .core import SequenceDatabase
+from .core import SequenceDatabase, _is_count
 from .errors import InvalidConfigError, MinerMismatchError
 from .prefixspan import MinerConfig, PatternSet, mine
 from .spam import mine_spam
@@ -67,6 +67,8 @@ def run_bench(
     ``MinerMismatchError`` when the miners' pattern sets differ in any
     pattern or support.
     """
+    if not _is_count(repeats):
+        raise InvalidConfigError(f"repeats must be an int, got {repeats!r}")
     if repeats < 1:
         raise InvalidConfigError("repeats must be >= 1")
     if not supports:

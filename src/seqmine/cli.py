@@ -27,7 +27,8 @@ from .checkins import (
 )
 from .errors import FormatError, InvalidConfigError, MinerMismatchError, SeqmineError
 from .prefixspan import MinerConfig
-from .rules import VALID_SORT_KEYS, build_report, write_report_csv, write_report_jsonl
+from .rules import (VALID_SORT_KEYS, _check_report_settings, build_report,
+                    write_report_csv, write_report_jsonl)
 from .synth import (SINGAPORE_SHAPE, GeneratorConfig, bms_shape,
                     generate_synthetic, serialize_checkins)
 
@@ -38,23 +39,17 @@ EXIT_MISMATCH = 4
 
 
 def _min_support(text: str) -> int | float:
-    """Integer = absolute count, decimal = fraction of the database."""
+    """Integer = absolute count, decimal = fraction; MinerConfig checks the range."""
     try:
-        if "." not in text and "e" not in text.lower():
-            value = int(text)
-            if value < 1:
-                raise argparse.ArgumentTypeError("min-support count must be >= 1")
-            return value
-        fraction = float(text)
-    except argparse.ArgumentTypeError:
-        raise
+        value = float(text) if "." in text or "e" in text.lower() else int(text)
+        MinerConfig(min_support=value)
+    except InvalidConfigError as exc:  # a ValueError too: the library's message
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"min-support must be a count or fraction, got {text!r}"
         )
-    if not 0.0 < fraction <= 1.0:
-        raise argparse.ArgumentTypeError("min-support fraction must be in (0,1]")
-    return fraction
+    return value
 
 
 def _support_list(text: str) -> list[int | float]:
@@ -95,17 +90,14 @@ def cmd_mine(args) -> int:
     amap, windows = _load_analysis_config(args)
     tz = resolve_timezone(args.tz)
     cfg = MinerConfig(min_support=args.min_support, max_length=args.max_length)
-    if args.top_k is not None and args.top_k < 0:
-        raise InvalidConfigError(f"top_k must be >= 0, got {args.top_k}")
+    _check_report_settings(args.top_k, args.sort, None)  # the default n_activities
     fmt = _detect_format(args.input, args.format)
     try:
         parsed = parse_checkins(args.input, fmt)
     except FileNotFoundError:
-        print(f"error: --input: no such file: {args.input}", file=sys.stderr)
-        return EXIT_INPUT
+        raise FormatError(f"--input: no such file: {args.input}")
     except FormatError as exc:
-        print(f"error: --input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise FormatError(f"--input: {exc}")
     for reject in parsed.rejects[:20]:
         print(f"rejected line {reject.line_no}: {reject.reason}", file=sys.stderr)
     if len(parsed.rejects) > 20:
@@ -261,15 +253,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as exc:  # --help, after argparse printed it
         return int(exc.code or 0)
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MinerMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (SeqmineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, InvalidConfigError):
+            return EXIT_CONFIG
+        return EXIT_MISMATCH if isinstance(exc, MinerMismatchError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ from .errors import EmptyElementError, UnknownLabelError
 Element = tuple[int, ...]
 
 
+def _is_count(value) -> bool:  # what every count setting takes
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Item(NamedTuple):
     """A dictionary entry: encoded id plus its symbolic label."""
 

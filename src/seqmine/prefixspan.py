@@ -30,6 +30,7 @@ from .core import (
     Sequence,
     SequenceDatabase,
     Suffix,
+    _is_count,
     _is_subset,
     render_elements,
 )
@@ -64,33 +65,34 @@ class Extension(NamedTuple):
 
 @dataclass(frozen=True)
 class MinerConfig:
-    """Mining parameters.
+    """Mining parameters; building one with a value outside these raises.
 
-    ``min_support`` is an absolute sequence count when given as an int and a
-    relative fraction in (0, 1] when given as a float (converted once via
-    ceil(fraction * database size)).  ``max_length`` caps the total item
-    count of a pattern.
+    ``min_support`` is an absolute sequence count when given as an int (>= 1,
+    not a bool) and a relative fraction in (0, 1] when given as a float.
+    ``max_length``, when set, is an int >= 1 capping a pattern's item count.
     """
 
     min_support: int | float = 2
     max_length: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_length is not None and self.max_length < 1:
+        support, length = self.min_support, self.max_length
+        if _is_count(support):
+            if support < 1:
+                raise InvalidConfigError("min_support count must be >= 1")
+        elif not isinstance(support, float):
+            raise InvalidConfigError("min_support must be an int count or a fraction")
+        elif not 0.0 < support <= 1.0:
+            raise InvalidConfigError("min_support fraction must be in (0,1]")
+        if length is not None and not _is_count(length):
+            raise InvalidConfigError(f"max_length must be an int, got {length!r}")
+        if length is not None and length < 1:
             raise InvalidConfigError("max_length must be >= 1 when set")
 
     def resolve_min_count(self, n_sequences: int) -> int:
-        """Convert min_support to an absolute count for a given database size."""
-        if isinstance(self.min_support, bool) or not isinstance(
-            self.min_support, (int, float)
-        ):
-            raise InvalidConfigError("min_support must be an int count or a fraction")
+        """min_support as a count for this database size (checked when built)."""
         if isinstance(self.min_support, int):
-            if self.min_support < 1:
-                raise InvalidConfigError("min_support count must be >= 1")
             return self.min_support
-        if not 0.0 < self.min_support <= 1.0:
-            raise InvalidConfigError("min_support fraction must be in (0,1]")
         return max(1, math.ceil(self.min_support * n_sequences))
 
 

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .core import Sequence, SequenceDatabase, _match, contains_subsequence
+from .core import Sequence, SequenceDatabase, _is_count, _match, contains_subsequence
 from .errors import InvalidConfigError, UndefinedConfidenceError
 from .prefixspan import Pattern, PatternSet
 
@@ -92,6 +92,17 @@ def _render_activities(p: Pattern, patterns: PatternSet) -> str:
     )
 
 
+def _check_report_settings(top_k: int | None, sort_key: str, n_activities: int | None) -> None:
+    """build_report's settings rules; ``seqmine mine`` runs them before any input."""
+    if sort_key not in VALID_SORT_KEYS:
+        raise InvalidConfigError(f"sort_key must be one of {VALID_SORT_KEYS}")
+    for name, value, least in (("top_k", top_k, 0), ("n_activities", n_activities, 2)):
+        if value is not None and not _is_count(value):
+            raise InvalidConfigError(f"{name} must be an int, got {value!r}")
+        if value is not None and value < least:
+            raise InvalidConfigError(f"{name} must be >= {least}, got {value}")
+
+
 def build_report(
     patterns: PatternSet,
     db: SequenceDatabase,
@@ -105,18 +116,13 @@ def build_report(
     single-item elements qualify; with None, any pattern of at least two
     elements does.  Rows sort by ``sort_key`` descending, ties broken by the
     rendered activity string, truncated to ``top_k``; an unknown
-    ``sort_key``, a negative ``top_k`` or an ``n_activities`` below 2 raises
-    InvalidConfigError.
+    ``sort_key``, a ``top_k`` that is not an int >= 0 or an ``n_activities``
+    that is not an int >= 2 raises InvalidConfigError.
 
     Frequencies are counted over candidates only: the sequences that hold
     every item of the pattern, from per-item id-lists built once per call.
     """
-    if sort_key not in VALID_SORT_KEYS:
-        raise InvalidConfigError(f"sort_key must be one of {VALID_SORT_KEYS}")
-    if top_k is not None and top_k < 0:
-        raise InvalidConfigError(f"top_k must be >= 0, got {top_k}")
-    if n_activities is not None and n_activities < 2:
-        raise InvalidConfigError(f"n_activities must be >= 2, got {n_activities}")
+    _check_report_settings(top_k, sort_key, n_activities)
     supports = patterns.as_dict()
     id_lists: dict[int, set[int]] = {}
     for i, s in enumerate(db.sequences):

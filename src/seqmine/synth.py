@@ -23,6 +23,7 @@ from numbers import Real
 from typing import IO, Iterable
 
 from .checkins import CSV_HEADER, CheckIn, _Draft
+from .core import _is_count
 from .errors import InvalidConfigError
 
 GENDERS = ("female", "male", "undisclosed")
@@ -156,16 +157,12 @@ _BASE = (datetime.combine(START_DATE, time(), timezone.utc)
 _MINUTE = timedelta(minutes=1)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Corpus size and trip lengths; defaults give the tourist shape.
 
-    Counts are ints (not bools) and weights finite positive reals, so every
-    accepted config can be generated."""
+    Every field is checked, used or not: counts are ints (not bools) and
+    weights finite positive reals, so every accepted config can be generated."""
 
     n_users: int = 1057
     checkins_min: int = 8
@@ -175,13 +172,13 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not _is_count(self.n_users) or self.n_users < 0:
             raise InvalidConfigError(f"n_users must be an int >= 0, got {self.n_users!r}")
+        lo, hi = self.checkins_min, self.checkins_max
+        if not (_is_count(lo) and _is_count(hi) and 1 <= lo <= hi):
+            raise InvalidConfigError(
+                "need ints with 1 <= checkins_min <= checkins_max, got "
+                f"{lo!r} and {hi!r}"
+            )
         if self.length_weights is None:
-            lo, hi = self.checkins_min, self.checkins_max
-            if not (_is_count(lo) and _is_count(hi) and 1 <= lo <= hi):
-                raise InvalidConfigError(
-                    "need ints with 1 <= checkins_min <= checkins_max, got "
-                    f"{lo!r} and {hi!r}"
-                )
             return
         try:  # unpacked as generate_synthetic unpacks them
             counts = [k for k, _ in self.length_weights]

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from seqmine import (
@@ -68,6 +69,11 @@ class TestRunBench:
             run_bench(letters_db, [], repeats=1)
         with pytest.raises(InvalidConfigError):
             run_bench(letters_db, [2], repeats=0)
+
+    @pytest.mark.parametrize("repeats", [2.5, True, "2", np.int64(2)])
+    def test_non_int_repeats_rejected(self, letters_db, repeats):
+        with pytest.raises(InvalidConfigError, match="repeats"):
+            run_bench(letters_db, [2], repeats=repeats)
 
 
 class TestOutputs:

@@ -180,13 +180,13 @@ class TestMine:
         code = main(["mine", "--input", str(corpus_csv), "--min-support", "1.5",
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "min-support fraction must be in (0,1]" in capsys.readouterr().err
+        assert "min_support fraction must be in (0,1]" in capsys.readouterr().err
 
     def test_zero_count_is_usage_error(self, corpus_csv, tmp_path, capsys):
         code = main(["mine", "--input", str(corpus_csv), "--min-support", "0",
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "min-support count must be >= 1" in capsys.readouterr().err
+        assert "min_support count must be >= 1" in capsys.readouterr().err
 
     def test_bad_window_file_is_config_error(self, corpus_csv, tmp_path, capsys):
         winfile = tmp_path / "win.cfg"

@@ -10,8 +10,10 @@ import csv
 import io
 import json
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from seqmine.checkins import CSV_HEADER
@@ -53,10 +55,11 @@ _user_names = st.lists(st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=
                        min_size=len(USERS), max_size=len(USERS), unique=True)
 
 
-def _mine(rows, fmt="csv"):
+def _mine(rows, fmt="csv", *args):
     """The output files of ``seqmine mine`` on a CSV or JSONL file of rows, by name.
 
-    JSONL writes the coordinates as numbers and an empty field as null."""
+    JSONL writes the coordinates as numbers and an empty field as null; any
+    further args are passed on after the default flags, so they override them."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"checkins.{fmt}"
         with open(path, "w", encoding="utf-8", newline="") as fp:
@@ -70,7 +73,8 @@ def _mine(rows, fmt="csv"):
                     fp.write(json.dumps(dict(zip(CSV_HEADER, fields))) + "\n")
         out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["mine", "--input", str(path), "--min-support", "2", "--out", str(out)])
+            code = main(["mine", "--input", str(path), "--min-support", "2", "--out", str(out),
+                         *args])
         assert code == 0
         return {f: (out / f).read_bytes() for f in OUTPUTS}
 
@@ -109,3 +113,59 @@ class TestMetamorphic:
     def test_dropped_and_rejected_rows_do_not_matter(self, drawn, ignored):
         rows = _csv_rows(drawn, USERS)
         assert _mine(rows + _csv_rows(ignored, USERS, prefix="d")) == _mine(rows)
+
+
+def _shift_days(rows, days):
+    """The rows with every timestamp's date moved by a whole number of days."""
+    return [[cid, user, (date.fromisoformat(ts[:10]) + timedelta(days)).isoformat() + ts[10:],
+             *rest] for cid, user, ts, *rest in rows]
+
+
+def _counted(name, output, factor=1):
+    """An output file's records with support_count and frequency times factor:
+    the rows of a CSV (header kept; the count is the second column) or the
+    objects of a JSONL file."""
+    if name.endswith(".jsonl"):
+        records = [json.loads(line) for line in output.splitlines()]
+        for r in records:
+            for key in ("support_count", "frequency"):
+                if key in r:
+                    r[key] *= factor
+        return records
+    header, *rows = csv.reader(io.StringIO(output.decode("utf-8")))
+    return [header, *([r[0], str(int(r[1]) * factor), *r[2:]] for r in rows)]
+
+
+GROUPINGS = pytest.mark.parametrize("grouping", ["window", "trip"])
+
+
+class TestMetamorphicSettings:
+    @GROUPINGS
+    @relation
+    @given(_rows)
+    def test_both_miners_give_the_same_output(self, grouping, drawn):
+        # at most 60 rows, so every trip stays under the bitmap miner's 64 elements
+        rows = _csv_rows(drawn, USERS)
+        assert (_mine(rows, "csv", "--grouping", grouping, "--miner", "spam")
+                == _mine(rows, "csv", "--grouping", grouping, "--miner", "prefixspan"))
+
+    @GROUPINGS
+    @relation
+    @given(_rows, st.integers(-730_000, 2_000_000))
+    def test_shifting_by_whole_days_does_not_matter(self, grouping, drawn, days):
+        rows = _csv_rows(drawn, USERS)
+        flags = ("--grouping", grouping, "--tz", "+08:00")
+        assert _mine(_shift_days(rows, days), "csv", *flags) == _mine(rows, "csv", *flags)
+
+    @GROUPINGS
+    @relation
+    @given(_rows)
+    def test_copying_every_user_doubles_the_counts(self, grouping, drawn):
+        # twice the users at twice the count keeps every pattern, and each
+        # ratio is the same division of numbers twice as large: exactly equal
+        rows = _csv_rows(drawn, USERS)
+        copies = _csv_rows(drawn, [f"copy-{u}" for u in USERS], prefix="d")
+        base = _mine(rows, "csv", "--grouping", grouping)
+        both = _mine(rows + copies, "csv", "--grouping", grouping, "--min-support", "4")
+        assert ({f: _counted(f, both[f]) for f in OUTPUTS}
+                == {f: _counted(f, base[f], 2) for f in OUTPUTS})

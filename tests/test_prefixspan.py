@@ -2,6 +2,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +44,21 @@ class TestMinerConfig:
     def test_invalid_support_rejected(self, bad):
         with pytest.raises(InvalidConfigError):
             MinerConfig(min_support=bad).resolve_min_count(10)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"min_support": 0}, "min_support"),
+        ({"min_support": 1.5}, "min_support"),
+        ({"min_support": "2"}, "min_support"),
+        ({"min_support": True}, "min_support"),
+        ({"max_length": 2.5}, "max_length"),
+        ({"max_length": True}, "max_length"),
+        ({"max_length": "3"}, "max_length"),
+        ({"max_length": np.int64(3)}, "max_length"),
+    ])
+    def test_refused_when_built(self, kwargs, field):
+        # no resolve_min_count call: the config itself refuses the value
+        with pytest.raises(InvalidConfigError, match=field):
+            MinerConfig(**kwargs)
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(InvalidConfigError):

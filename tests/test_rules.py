@@ -2,6 +2,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,6 +161,20 @@ class TestBuildReport:
         ps = mine(digits_db, MinerConfig(min_support=3))
         with pytest.raises(InvalidConfigError):
             build_report(ps, digits_db, n_activities=n_activities)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"top_k": 1.5}, "top_k"),
+        ({"top_k": True}, "top_k"),
+        ({"top_k": "1"}, "top_k"),
+        ({"top_k": np.int64(2)}, "top_k"),
+        ({"n_activities": 2.5}, "n_activities"),
+        ({"n_activities": "3"}, "n_activities"),
+        ({"n_activities": np.int64(3)}, "n_activities"),
+    ])
+    def test_non_int_counts_rejected(self, digits_db, kwargs, field):
+        ps = mine(digits_db, MinerConfig(min_support=3))
+        with pytest.raises(InvalidConfigError, match=field):
+            build_report(ps, digits_db, **kwargs)
 
     def test_frequency_no_less_than_containing_sequences(self, letters_db):
         ps = mine(letters_db, MinerConfig(min_support=2))

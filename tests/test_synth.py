@@ -4,7 +4,7 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -172,6 +172,17 @@ class TestConfigValidation:
     def test_rejected_unusable_values(self, kwargs, field):
         with pytest.raises(InvalidConfigError, match=field):
             GeneratorConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"checkins_min": 0},
+        {"checkins_min": 2.5},
+        {"checkins_max": "x"},
+        {"checkins_min": 5, "checkins_max": 4},
+    ])
+    def test_unused_lengths_still_checked(self, kwargs):
+        # length_weights makes checkins_min/checkins_max unused, not unchecked
+        with pytest.raises(InvalidConfigError, match="checkins_min"):
+            replace(bms_shape(10), **kwargs)
 
     @pytest.mark.parametrize("weights", [
         ((1, 1), (3, 2)),
