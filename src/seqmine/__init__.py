@@ -77,14 +77,9 @@ from .checkins import (
     resolve_timezone,
     run_pipeline,
     segment_windows,
-)
-from .synth import (
-    GeneratorConfig,
-    SINGAPORE_SHAPE,
-    bms_shape,
-    generate_synthetic,
     serialize_checkins,
 )
+from .synth import GeneratorConfig, SINGAPORE_SHAPE, bms_shape, generate_synthetic
 from .bench import BenchResult, dataset_stats, format_table, run_bench, write_bench_csv
 
 __version__ = "0.1.0"

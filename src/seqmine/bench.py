@@ -39,6 +39,8 @@ class BenchResult:
     min_support: int | float
     min_count: int
     wall_time_s: float  # median over repeats
+    # ru_maxrss: the process's peak since it started, so within one run_bench
+    # call no row reads below an earlier one (SPAM's holds PrefixSpan's peak)
     peak_rss_kb: int
     pattern_count: int
 

@@ -6,7 +6,8 @@ a reject report, activity tagging applies an ordered first-match-wins rule
 list (with a drop marker for categories excluded from analysis), window
 segmentation buckets records by local time of day, and sequence building
 turns each (user, window) group into one time-ordered sequence whose
-check-ins at the same instant form a single element.
+check-ins at the same instant form a single element.  serialize_checkins
+writes records in the file format parse_checkins reads.
 """
 
 from __future__ import annotations
@@ -17,26 +18,15 @@ import json
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, make_dataclass
 from datetime import datetime, timedelta, timezone
 from fnmatch import fnmatchcase
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .core import ItemDictionary, Sequence, SequenceDatabase
 from .errors import FormatError, InvalidConfigError
-
-CSV_HEADER = (
-    "checkin_id",
-    "user_id",
-    "timestamp",
-    "lat",
-    "lon",
-    "category",
-    "subcategory",
-    "gender",
-    "origin",
-)
 
 #: Label applied to categories no rule matches.
 DEFAULT_ACTIVITY = "Other"
@@ -69,6 +59,14 @@ class CheckIn:
     subcategory: str = ""
     gender: str | None = None
     origin: str | None = None
+
+
+CSV_HEADER = tuple(f.name for f in fields(CheckIn))
+
+# Fills a CheckIn's slots by plain stores, without the frozen __init__'s
+# object.__setattr__ calls; callers then set ``__class__`` to CheckIn.
+_Draft = make_dataclass("_Draft", CSV_HEADER, slots=True, eq=False, repr=False,
+                        match_args=False)
 
 
 @dataclass(frozen=True)
@@ -108,24 +106,6 @@ def _parse_timestamp(text: str) -> datetime:
     if not _FIRST_INSTANT <= ts <= _LAST_INSTANT:
         raise ValueError("no local time in every supported zone")
     return ts
-
-
-class _Draft:
-    """A CheckIn's slots filled by plain stores; set ``__class__`` to CheckIn."""
-
-    __slots__ = CheckIn.__slots__
-
-    def __init__(self, checkin_id, user_id, timestamp, lat, lon, category,
-                 subcategory, gender, origin):
-        self.checkin_id = checkin_id
-        self.user_id = user_id
-        self.timestamp = timestamp
-        self.lat = lat
-        self.lon = lon
-        self.category = category
-        self.subcategory = subcategory
-        self.gender = gender
-        self.origin = origin
 
 
 def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> CheckIn | str:
@@ -279,8 +259,8 @@ def parse_checkins(
         seen: set[str] = set()
         texts: dict[str, str] = {}
         with _collector_paused():
-            for line_no, fields in _ROW_READERS[format](fp):
-                row = fields if isinstance(fields, str) else _validate_row(fields, seen, texts)
+            for line_no, raw in _ROW_READERS[format](fp):
+                row = raw if isinstance(raw, str) else _validate_row(raw, seen, texts)
                 if isinstance(row, str):
                     rejects.append(RejectedRow(line_no, row))
                 else:
@@ -291,6 +271,59 @@ def parse_checkins(
     finally:
         if close:
             fp.close()
+
+
+# One JSONL line: json.dumps(dict(zip(CSV_HEADER, row))) with each value's
+# JSON text filled in.
+_JSONL_LINE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in CSV_HEADER) + "}\n"
+
+
+def serialize_checkins(
+    checkins: Iterable[CheckIn], fp: IO[str], format: str = "csv"
+) -> int:
+    """Write check-ins in the exact on-disk format parse_checkins reads, and
+    return how many were written.  checkins may be any iterable, read once.
+
+    A JSONL line is the bytes ``json.dumps`` gives for the row as a dict in
+    CSV_HEADER order, filled into one template without building the dict: a
+    str value goes through ``encode_basestring_ascii``, the encoder
+    ``json.dumps`` itself calls for it, and a rounded coordinate that is a
+    finite float is its ``repr``, which is what ``json.dumps`` writes for
+    it.  Any other value (None, a number of another type, NaN) goes through
+    ``json.dumps``.
+    """
+    if format not in _ROW_READERS:
+        raise InvalidConfigError("format must be 'csv' or 'jsonl'")
+    count = 0
+    if format == "csv":
+        writer = csv.writer(fp)
+        writer.writerow(CSV_HEADER)
+        for count, c in enumerate(checkins, 1):
+            # CSV writes coordinates as 6-decimal text and None as ""
+            coords = (f"{c.lat:.6f}", f"{c.lon:.6f}")
+            ts = c.timestamp.astimezone(timezone.utc).isoformat()
+            writer.writerow([c.checkin_id, c.user_id, ts, *coords,
+                             c.category, c.subcategory, c.gender, c.origin])
+        return count
+    dumps, encode, line, write = json.dumps, encode_basestring_ascii, _JSONL_LINE, fp.write
+    utc = timezone.utc
+    for count, c in enumerate(checkins, 1):
+        cid, user, category, sub, gender, origin = (
+            c.checkin_id, c.user_id, c.category, c.subcategory, c.gender, c.origin)
+        # coordinates as numbers rounded to 6 places, None as null
+        lat, lon = round(c.lat, 6), round(c.lon, 6)
+        write(line % (
+            encode(cid) if cid.__class__ is str else dumps(cid),
+            encode(user) if user.__class__ is str else dumps(user),
+            encode(c.timestamp.astimezone(utc).isoformat()),
+            repr(lat) if lat.__class__ is float and lat - lat == 0.0 else dumps(lat),
+            repr(lon) if lon.__class__ is float and lon - lon == 0.0 else dumps(lon),
+            encode(category) if category.__class__ is str else dumps(category),
+            encode(sub) if sub.__class__ is str else dumps(sub),
+            encode(gender) if gender.__class__ is str else dumps(gender),
+            encode(origin) if origin.__class__ is str else dumps(origin),
+        ))
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,14 @@ from .checkins import (
     parse_checkins,
     resolve_timezone,
     run_pipeline,
+    serialize_checkins,
 )
 from .errors import FormatError, InvalidConfigError, MinerMismatchError, SeqmineError
 from .prefixspan import MinerConfig
 from .rules import (VALID_SORT_KEYS, _check_report_settings, build_report,
                     write_report_csv, write_report_jsonl)
-from .synth import (SINGAPORE_SHAPE, GeneratorConfig, bms_shape,
-                    generate_synthetic, serialize_checkins)
+from .synth import (SINGAPORE_SHAPE, GeneratorConfig, _generate, bms_shape,
+                    generate_synthetic)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,12 +154,12 @@ def _generator_config(args) -> GeneratorConfig:
 
 def cmd_generate(args) -> int:
     cfg = _generator_config(args)
-    checkins = generate_synthetic(cfg, args.seed)
     fmt = _detect_format(args.out, args.format)
     with open(args.out, "w", encoding="utf-8", newline="") as fp:
-        serialize_checkins(checkins, fp, fmt)
+        # each record is written as it is drawn: none is held
+        written = serialize_checkins(_generate(cfg, args.seed), fp, fmt)
     print(
-        f"wrote {len(checkins)} check-ins for {cfg.n_users} users "
+        f"wrote {written} check-ins for {cfg.n_users} users "
         f"to {args.out} (seed={args.seed}, shape={args.shape})"
     )
     return EXIT_OK

@@ -10,19 +10,17 @@ generator, so a (config, seed) pair fully determines the output.
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 from bisect import bisect
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from math import isfinite
 from numbers import Real
-from typing import IO, Iterable
+from typing import Iterator
 
-from .checkins import CSV_HEADER, CheckIn, _Draft
+# serialize_checkins is re-exported: the writer lives beside its reader
+from .checkins import CheckIn, _Draft, serialize_checkins
 from .core import _is_count
 from .errors import InvalidConfigError
 
@@ -215,7 +213,13 @@ def bms_shape(n_sequences: int = 30000) -> GeneratorConfig:
 
 
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> list[CheckIn]:
-    """The full check-in list for (cfg, seed); same inputs, same output.
+    """The full check-in list for (cfg, seed), as _generate yields it; same
+    inputs, same output."""
+    return list(_generate(cfg, seed))
+
+
+def _generate(cfg: GeneratorConfig, seed: int) -> Iterator[CheckIn]:
+    """generate_synthetic's records one at a time, each made as it is drawn.
 
     Per user the draws are, in order: gender, origin, trip length, first
     day and trip days; then day, hour and minute of each check-in; then,
@@ -252,8 +256,6 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> list[CheckIn]:
         fewest, spread = cfg.checkins_min, cfg.checkins_max - cfg.checkins_min + 1
     lat_lo, lat_span = LAT_RANGE[0], LAT_RANGE[1] - LAT_RANGE[0]
     lon_lo, lon_span = LON_RANGE[0], LON_RANGE[1] - LON_RANGE[0]
-    out: list[CheckIn] = []
-    append = out.append
     counter = 0
     for u in range(cfg.n_users):
         user_id = f"u{u:05d}"
@@ -285,55 +287,4 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> list[CheckIn]:
                 category, subcategory, gender, origin,
             )
             record.__class__ = CheckIn
-            append(record)
-    return out
-
-
-# One JSONL line: json.dumps(dict(zip(CSV_HEADER, row))) with each value's
-# JSON text filled in.
-_JSONL_LINE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in CSV_HEADER) + "}\n"
-
-
-def serialize_checkins(
-    checkins: Iterable[CheckIn], fp: IO[str], format: str = "csv"
-) -> None:
-    """Write check-ins in the exact on-disk format parse_checkins reads.
-
-    A JSONL line is the bytes ``json.dumps`` gives for the row as a dict in
-    CSV_HEADER order, filled into one template without building the dict: a
-    str value goes through ``encode_basestring_ascii``, the encoder
-    ``json.dumps`` itself calls for it, and a rounded coordinate that is a
-    finite float is its ``repr``, which is what ``json.dumps`` writes for
-    it.  Any other value (None, a number of another type, NaN) goes through
-    ``json.dumps``.
-    """
-    if format not in ("csv", "jsonl"):
-        raise InvalidConfigError("format must be 'csv' or 'jsonl'")
-    if format == "csv":
-        writer = csv.writer(fp)
-        writer.writerow(CSV_HEADER)
-        for c in checkins:
-            # CSV writes coordinates as 6-decimal text and None as ""
-            coords = (f"{c.lat:.6f}", f"{c.lon:.6f}")
-            ts = c.timestamp.astimezone(timezone.utc).isoformat()
-            writer.writerow([c.checkin_id, c.user_id, ts, *coords,
-                             c.category, c.subcategory, c.gender, c.origin])
-        return
-    dumps, encode, line, write = json.dumps, encode_basestring_ascii, _JSONL_LINE, fp.write
-    utc = timezone.utc
-    for c in checkins:
-        cid, user, category, sub, gender, origin = (
-            c.checkin_id, c.user_id, c.category, c.subcategory, c.gender, c.origin)
-        # coordinates as numbers rounded to 6 places, None as null
-        lat, lon = round(c.lat, 6), round(c.lon, 6)
-        write(line % (
-            encode(cid) if cid.__class__ is str else dumps(cid),
-            encode(user) if user.__class__ is str else dumps(user),
-            encode(c.timestamp.astimezone(utc).isoformat()),
-            repr(lat) if lat.__class__ is float and lat - lat == 0.0 else dumps(lat),
-            repr(lon) if lon.__class__ is float and lon - lon == 0.0 else dumps(lon),
-            encode(category) if category.__class__ is str else dumps(category),
-            encode(sub) if sub.__class__ is str else dumps(sub),
-            encode(gender) if gender.__class__ is str else dumps(gender),
-            encode(origin) if origin.__class__ is str else dumps(origin),
-        ))
+            yield record

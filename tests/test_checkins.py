@@ -816,6 +816,10 @@ class TestConfigParsing:
         assert amap.match("Asian Restaurant") == "Dining"
         assert amap.match("Bowling Alley") == "Other"
 
+    def test_packaged_windows_are_the_default_constant(self):
+        # run_pipeline and the CLI fall back to DEFAULT_WINDOWS
+        assert default_config()[1] == DEFAULT_WINDOWS
+
     def test_byte_order_mark_before_first_rule(self, tmp_path):
         path = tmp_path / "bom.cfg"
         path.write_text("*airport* = -\npark = Nature\n", encoding="utf-8-sig")
@@ -1005,6 +1009,32 @@ def _jsonl_line(draw):
     return draw(_padding) + body + draw(_padding) + tail
 
 
+# Text as parse_checkins gives it: stripped and printable, so with no
+# surrogates and no whitespace but the space.
+_text = st.text(
+    st.characters(exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"),
+                  include_characters=" "),
+    max_size=8,
+).map(str.strip)
+
+# An aware timestamp at any fixed offset whose UTC instant parse_checkins
+# accepts.
+_timestamps = st.builds(
+    lambda instant, offset: instant.replace(tzinfo=timezone.utc).astimezone(timezone(offset)),
+    st.datetimes(_FIRST_INSTANT.replace(tzinfo=None), _LAST_INSTANT.replace(tzinfo=None)),
+    st.timedeltas(timedelta(hours=-24) + timedelta.resolution,
+                  timedelta(hours=24) - timedelta.resolution),
+)
+
+_written_checkins = st.lists(
+    st.builds(CheckIn, _text.filter(bool), _text.filter(bool), _timestamps,
+              st.floats(-90, 90), st.floats(-180, 180), _text.filter(bool), _text,
+              st.none() | _text, st.none() | _text),
+    max_size=8,
+    unique_by=lambda c: c.checkin_id,
+)
+
+
 class TestIngestProperties:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1025,6 +1055,28 @@ class TestIngestProperties:
             return [repr(item) for item in reader(io.StringIO(text, newline=""))]
 
         assert read(_jsonl_rows) == read(_jsonl_rows_reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(checkins=_written_checkins)
+    def test_written_checkins_read_back(self, checkins):
+        # What serialize_checkins writes, parse_checkins reads back in both
+        # formats: the instant in UTC, coordinates rounded to 6 places and an
+        # empty gender or origin as None.
+        expected = [
+            dataclasses.replace(c, timestamp=c.timestamp.astimezone(timezone.utc),
+                                lat=round(c.lat, 6), lon=round(c.lon, 6),
+                                gender=c.gender or None, origin=c.origin or None)
+            for c in checkins
+        ]
+        parsed = {}
+        for fmt in ("csv", "jsonl"):
+            out = io.StringIO()
+            assert serialize_checkins(checkins, out, fmt) == len(checkins)
+            result = parse_checkins(io.StringIO(out.getvalue(), newline=""), fmt)
+            assert not result.rejects
+            assert all(c.timestamp.tzinfo is timezone.utc for c in result)
+            parsed[fmt] = list(result.checkins)
+        assert parsed["csv"] == parsed["jsonl"] == expected
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,25 @@ class TestGenerate:
             buf = io.StringIO()
             serialize_checkins(generate_synthetic(cfg, 5), buf)
             assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_writes_each_record_as_it_is_drawn(self, tmp_path, capsys, fmt):
+        # 20 000 users make about 46 000 records: about 13 MB when all are
+        # held before the first is written.
+        path = tmp_path / f"bms.{fmt}"
+        argv = ["generate", "--shape", "bms", "--seed", "7", "--out", str(path)]
+        assert main([*argv, "--users", "20"]) == 0  # load what runs lazily
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--users", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        buf = io.StringIO()
+        written = serialize_checkins(generate_synthetic(bms_shape(20000), 7), buf, fmt)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"wrote {written} check-ins")
 
     def test_bms_shape(self, tmp_path):
         path = tmp_path / "bms.csv"
