@@ -67,7 +67,8 @@ def run_bench(
 
     Every miner in ``MINERS`` runs, in registry order.  Raises
     ``MinerMismatchError`` when the miners' pattern sets differ in any
-    pattern or support.
+    pattern or support, or, where both sets carry them, in the sequences
+    found holding any pattern.
     """
     if not _is_count(repeats):
         raise InvalidConfigError(f"repeats must be an int, got {repeats!r}")
@@ -80,14 +81,14 @@ def run_bench(
     for support in supports:
         cfg = MinerConfig(min_support=support)
         min_count = cfg.resolve_min_count(n)
-        found: dict[str, dict] = {}
+        found: dict[str, PatternSet] = {}
         for name, fn in MINERS.items():
             times = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 patterns = fn(db, cfg)
                 times.append(time.perf_counter() - t0)
-            found[name] = patterns.as_dict()
+            found[name] = patterns
             results.append(
                 BenchResult(
                     miner=name,
@@ -103,11 +104,19 @@ def run_bench(
             )
         names = list(found)
         for previous, name in zip(names, names[1:]):
-            if found[name] != found[previous]:
-                differing = len(found[name].items() ^ found[previous].items())
+            a, b = found[previous].as_dict(), found[name].as_dict()
+            if a != b:
                 raise MinerMismatchError(
-                    f"{name} and {previous} disagree on {differing} "
+                    f"{name} and {previous} disagree on {len(a.items() ^ b.items())} "
                     f"(pattern, support) pairs at support {support}"
+                )
+            # equal pattern sets come in the same canonical order
+            ha, hb = found[previous]._holders_in(db), found[name]._holders_in(db)
+            if ha is not None and hb is not None and ha != hb:
+                differing = sum(x != y for x, y in zip(ha, hb))
+                raise MinerMismatchError(
+                    f"{name} and {previous} disagree on the holders of {differing} "
+                    f"patterns at support {support}"
                 )
     return results
 

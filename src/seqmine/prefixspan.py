@@ -11,7 +11,9 @@ past each hit, so no projected copy of the positions is ever built.
 
 ``_grow`` is the depth-first search that both ``mine`` and ``spam.mine_spam``
 run: the output order, the ``max_length`` cut and the ``PatternSet`` are its
-alone, and a miner supplies only how a node's extensions are found.
+alone, and a miner supplies only how a node's extensions are found and which
+sequences hold a node's pattern.  Those holders go into the ``PatternSet``, so
+the report counts occurrences only where the search already found them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import weakref
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Collection, Iterator, NamedTuple
@@ -109,11 +113,29 @@ class Pattern:
 
 @dataclass(frozen=True)
 class PatternSet:
-    """Complete mining result in canonical (lexicographic) order."""
+    """Complete mining result in canonical (lexicographic) order.
+
+    A mined set also keeps, for each pattern of two or more elements, the
+    sorted indices of the sequences holding it, valid only for the database
+    it was mined from (see ``_holders_in``).  They take no part in equality,
+    ``repr``, pickling or copying: a copy, a ``replace``d or a hand-built set
+    has none.
+    """
 
     patterns: tuple[Pattern, ...]
     n_sequences: int
     dictionary: ItemDictionary
+    # (weak reference to the mined database, one array("i") or None per pattern)
+    _holders: tuple = field(default=(), init=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_holders"}
+
+    def _holders_in(self, db: SequenceDatabase) -> tuple | None:
+        """Holders per pattern, aligned with ``patterns``, if db is the mined one."""
+        if self._holders and self._holders[0]() is db:
+            return self._holders[1]
+        return None
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -286,11 +308,13 @@ def mine(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     min_count = cfg.resolve_min_count(len(db))
     seqs = [s.elements for s in db.sequences]
     roots = _scan(seqs, (), [(si, 0, -1) for si, s in enumerate(seqs) if s], min_count)
+    # a node's hits hold one entry per holding sequence, in sequence order
     return _grow(db, cfg, roots,
-                 lambda elements, hits: _scan(seqs, elements[-1], hits, min_count))
+                 lambda elements, hits: _scan(seqs, elements[-1], hits, min_count),
+                 lambda hits: array("i", [si for si, _, _ in hits]))
 
 
-def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand) -> PatternSet:
+def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand, holders) -> PatternSet:
     """Depth-first pattern search shared by both miners.
 
     Each extension is ``(kind, item id, support, state)``; ``expand(elements,
@@ -299,18 +323,27 @@ def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand) -> Patter
     extensions then gives canonical order, and pushing them in reverse keeps
     it without recursion.  A pattern is expanded only below ``max_length``
     items; each stack entry carries its parent's elements and item count.
+
+    A node's state also knows which sequences hold its pattern:
+    ``holders(state)`` gives their sorted indices as an ``array("i")``, kept
+    in the ``PatternSet`` for every pattern of two or more elements (the
+    ones a report can count).
     """
     max_length = cfg.max_length
     patterns: list[Pattern] = []
+    held: list[array | None] = []
     stack = [((), 0, ext) for ext in reversed(roots)]
     while stack:
         parent, n_items, (kind, item, support, state) = stack.pop()
         elements = _grown(parent, kind, item)
         n_items += 1
         patterns.append(Pattern(Sequence(elements), support))
+        held.append(holders(state) if len(elements) > 1 else None)
         if max_length is None or n_items < max_length:
             stack.extend((elements, n_items, ext) for ext in reversed(expand(elements, state)))
-    return PatternSet(tuple(patterns), len(db), db.dictionary)
+    out = PatternSet(tuple(patterns), len(db), db.dictionary)
+    object.__setattr__(out, "_holders", (weakref.ref(db), tuple(held)))
+    return out
 
 
 def _extensions(pdb: ProjectedDatabase, min_count: int) -> list[tuple[str, int, int, list]]:

@@ -9,10 +9,13 @@ Three numbers describe a pattern here:
   sequence that performs the pattern several times contributes several times,
   while overlapping restatements of the same occurrence do not inflate it.
 
-``build_report`` counts frequencies over candidate sequences only: one
-vertical id-list per item (the indices of the sequences holding it, as in
-Zaki's SPADE) is built per call, and a pattern's candidates are the
-intersection of its items' id-lists.
+``build_report`` counts a mined pattern's frequency only in the sequences
+that hold it, which the miner found during its search (PrefixSpan's
+projection entries, SPAM's non-zero bitmap columns) and kept in the
+``PatternSet``.  Those holders index the database the set was mined from, so
+they are used only when the report is given that very database object; for
+any other database, and for a hand-built set, every sequence is scanned with
+``pattern_frequency``.
 """
 
 from __future__ import annotations
@@ -119,20 +122,14 @@ def build_report(
     ``sort_key``, a ``top_k`` that is not an int >= 0 or an ``n_activities``
     that is not an int >= 2 raises InvalidConfigError.
 
-    Frequencies are counted over candidates only: the sequences that hold
-    every item of the pattern, from per-item id-lists built once per call.
+    Frequencies are counted only in the sequences the miner found holding
+    each pattern, when ``db`` is the database object ``patterns`` was mined
+    from; otherwise, or for a hand-built ``PatternSet``, over all of ``db``.
     """
     _check_report_settings(top_k, sort_key, n_activities)
     supports = patterns.as_dict()
-    id_lists: dict[int, set[int]] = {}
-    for i, s in enumerate(db.sequences):
-        for item in {item for elem in s.elements for item in elem}:
-            id_lists.setdefault(item, set()).add(i)
-
-    def candidates(p: Sequence) -> list[Sequence]:
-        items = {item for elem in p.elements for item in elem}
-        lists = sorted((id_lists.get(item, set()) for item in items), key=len)
-        return [db.sequences[i] for i in lists[0].intersection(*lists[1:])]
+    held = patterns._holders_in(db)
+    seqs = db.sequences
 
     def antecedent_count(p: Pattern) -> int:
         ante = p.sequence.elements[:-1]
@@ -142,7 +139,7 @@ def build_report(
         return pattern_support(db, Sequence(ante))[0]
 
     rows = []
-    for p in patterns:
+    for k, p in enumerate(patterns):
         elems = p.sequence.elements
         if n_activities is not None:
             if len(elems) != n_activities or any(len(e) != 1 for e in elems):
@@ -158,8 +155,8 @@ def build_report(
             RuleRow(
                 pattern=p,
                 activity_sequence=_render_activities(p, patterns),
-                frequency=sum(
-                    count_minimal_occurrences(s, p.sequence) for s in candidates(p.sequence)
+                frequency=pattern_frequency(db, p.sequence) if held is None else sum(
+                    count_minimal_occurrences(seqs[i], p.sequence) for i in held[k]
                 ),
                 support=p.support_count / len(db) if len(db) else 0.0,
                 confidence=p.support_count / denom,

@@ -1,4 +1,5 @@
 import io
+from array import array
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from seqmine import (
     MinerConfig,
     MinerMismatchError,
     mine,
+    mine_spam,
     run_bench,
 )
 from seqmine.bench import MINERS, dataset_stats, format_table, write_bench_csv
@@ -62,6 +64,20 @@ class TestRunBench:
 
         monkeypatch.setitem(MINERS, "spam", off_by_one)
         with pytest.raises(MinerMismatchError, match="disagree on 2"):
+            run_bench(letters_db, [2], repeats=1)
+
+    def test_holder_mismatch_is_fatal(self, letters_db, monkeypatch):
+        def one_holder_off(db, cfg):
+            found = mine_spam(db, cfg)
+            ref, held = found._holders
+            k = next(k for k, h in enumerate(held) if h is not None)
+            wrong = array("i", held[k])
+            wrong[-1] += 1
+            object.__setattr__(found, "_holders", (ref, (*held[:k], wrong, *held[k + 1:])))
+            return found
+
+        monkeypatch.setitem(MINERS, "spam", one_holder_off)
+        with pytest.raises(MinerMismatchError, match="holders of 1 patterns"):
             run_bench(letters_db, [2], repeats=1)
 
     def test_validation(self, letters_db):

@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 
 import numpy as np
@@ -13,15 +15,18 @@ from seqmine import (
     UndefinedConfidenceError,
     build_report,
     mine,
+    mine_spam,
     pattern_frequency,
     pattern_support,
     rule_confidence,
     write_report_csv,
     write_report_jsonl,
 )
-from seqmine.core import Sequence, canonicalize
+from seqmine.checkins import default_config, run_pipeline
+from seqmine.core import Sequence, canonicalize, contains_subsequence
 from seqmine.prefixspan import Pattern, PatternSet
 from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
+from seqmine.synth import bms_shape, generate_synthetic
 
 import oracle
 from conftest import as_database, long_sequences, short_patterns
@@ -188,8 +193,9 @@ class TestBuildReport:
 
 
 class TestIndexedReport:
-    """build_report counts over per-item id-list candidates; the plain scans
-    pattern_frequency and pattern_support are the reference."""
+    """Hand-built and filtered pattern sets carry no holders, so build_report
+    counts over the whole database; the plain scans pattern_frequency and
+    pattern_support are the reference."""
 
     @staticmethod
     def assert_rows_match_scans(rows, db):
@@ -242,6 +248,112 @@ class TestIndexedReport:
         ps = PatternSet((Pattern(Sequence(((3,), (0,))), 0),), len(db), db.dictionary)
         with pytest.raises(UndefinedConfidenceError):
             build_report(ps, db, n_activities=None)
+
+
+_element = st.sets(st.integers(0, 3), min_size=1, max_size=2).map(lambda e: tuple(sorted(e)))
+
+
+def _run(lo, hi):
+    return st.lists(_element, min_size=lo, max_size=hi)
+
+
+# One sequence for each SPAM lane (up to 8, 16, 32 and 64 elements), so every
+# lane holds columns, and up to six more of any length, empty ones included,
+# in any order: a pattern's holders then interleave across the lanes.
+lane_databases = st.tuples(
+    _run(1, 8), _run(9, 16), _run(17, 32), _run(33, 64), st.lists(_run(0, 64), max_size=6),
+).flatmap(lambda t: st.permutations([*t[:4], *t[4]])).map(
+    lambda raw: as_database(raw, alphabet=4))
+
+MINERS = pytest.mark.parametrize("miner", [mine, mine_spam], ids=["prefixspan", "spam"])
+
+
+def without_holders(ps):
+    return PatternSet(ps.patterns, ps.n_sequences, ps.dictionary)
+
+
+def rows_of(rows):
+    return [(r.pattern, r.activity_sequence, r.frequency, r.support, r.confidence)
+            for r in rows]
+
+
+class TestMinedHolders:
+    """A mined set keeps the sequences its miner found holding each pattern
+    of two or more elements, and build_report counts only in those."""
+
+    @MINERS
+    @given(db=lane_databases)
+    @settings(max_examples=40, deadline=None)
+    def test_holders_are_the_containing_sequences(self, miner, db):
+        ps = miner(db, MinerConfig(min_support=2, max_length=3))
+        held = ps._holders_in(db)
+        assert len(held) == len(ps)
+        for p, h in zip(ps, held):
+            if len(p.sequence.elements) < 2:
+                assert h is None
+                continue
+            assert list(h) == [
+                i for i, s in enumerate(db.sequences) if contains_subsequence(s, p.sequence)
+            ]
+            assert len(h) == p.support_count
+
+    @MINERS
+    @given(db=lane_databases)
+    @settings(max_examples=30, deadline=None)
+    def test_rows_equal_rows_without_holders(self, miner, db):
+        ps = miner(db, MinerConfig(min_support=2, max_length=3))
+        for n_activities in (2, 3, None):
+            rows = build_report(ps, db, n_activities=n_activities)
+            assert rows_of(rows) == rows_of(
+                build_report(without_holders(ps), db, n_activities=n_activities))
+            for r in rows:
+                assert r.frequency == pattern_frequency(db, r.pattern.sequence)
+
+    @staticmethod
+    def bms_trips(n_users):
+        activity_map, _ = default_config()
+        checkins = generate_synthetic(bms_shape(n_users), 7)
+        return run_pipeline(checkins, activity_map, grouping="trip").database
+
+    @MINERS
+    def test_other_databases_count_over_their_own_sequences(self, miner):
+        # Holders index the mined database; on any other one they would point
+        # at the wrong sequences, or past the end.
+        db = self.bms_trips(300)
+        ps = miner(db, MinerConfig(min_support=0.01))
+        seqs, ids = db.sequences, db.seq_ids
+        half = len(db) // 2
+        others = {
+            "reversed": SequenceDatabase(seqs[::-1], ids[::-1], db.dictionary),
+            "subset": SequenceDatabase(seqs[:half], ids[:half], db.dictionary),
+            "superset": SequenceDatabase(seqs + seqs[:half],
+                                         ids + tuple(f"x{i}" for i in ids[:half]),
+                                         db.dictionary),
+            "equal copy": SequenceDatabase(seqs, ids, db.dictionary),
+        }
+        assert sum(len(p.sequence.elements) > 1 for p in ps) >= 10
+        for name, other in others.items():
+            rows = build_report(ps, other, n_activities=None)
+            assert len(rows) >= 10, name
+            for r in rows:
+                assert r.frequency == pattern_frequency(other, r.pattern.sequence), name
+
+    @MINERS
+    def test_copies_keep_the_patterns_and_drop_the_holders(self, miner, letters_db):
+        ps = miner(letters_db, MinerConfig(min_support=2))
+        plain = without_holders(ps)
+        assert ps._holders_in(letters_db) is not None
+        for other in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps), copy.copy(ps)):
+            assert other == ps == plain
+            assert repr(other) == repr(ps) == repr(plain)
+            assert other.as_dict() == ps.as_dict()
+            assert other._holders_in(letters_db) is None
+        assert pickle.dumps(ps) == pickle.dumps(plain)
+        for write in (PatternSet.to_csv, PatternSet.to_jsonl):
+            a, b = io.StringIO(), io.StringIO()
+            write(ps, a)
+            write(plain, b)
+            assert a.getvalue() == b.getvalue()
 
 
 class TestReportSerialization:
