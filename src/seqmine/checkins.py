@@ -95,41 +95,35 @@ _FIRST_INSTANT = datetime.min.replace(tzinfo=timezone.utc) + timedelta(days=1)
 _LAST_INSTANT = datetime.max.replace(tzinfo=timezone.utc) - timedelta(days=1)
 
 
-def _parse_timestamp(text: str) -> datetime:
-    """A stripped ISO 8601 timestamp as a UTC instant; naive means UTC."""
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
-    if not _FIRST_INSTANT <= ts <= _LAST_INSTANT:
-        raise ValueError("no local time in every supported zone")
-    return ts
-
-
 def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> CheckIn | str:
     """The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected.
 
-    texts maps each text value already kept to its kept string, so equal
-    values share one object."""
+    texts maps each kept text value to its kept string, so equal values
+    share one object.  A reader gives str, int, float or bool, never a subclass."""
     raw_id, user_id, raw_ts, lat, lon, category, subcategory, gender, origin = row
+    cid = str(raw_id).strip()
+    user_id = str(user_id).strip()
+    ts_text = str(raw_ts).strip()
+    category = str(category).strip()
     # only text can be blank, and coordinates convert from their raw values
-    required = (str(raw_id).strip(), str(user_id).strip(), str(raw_ts).strip(),
-                lat.strip() if isinstance(lat, str) else lat,
-                lon.strip() if isinstance(lon, str) else lon, str(category).strip())
-    if "" in required:
+    if not (cid and user_id and ts_text and (lat.__class__ is not str or lat.strip())
+            and (lon.__class__ is not str or lon.strip()) and category):
+        required = (cid, user_id, ts_text, str(lat).strip(), str(lon).strip(), category)
         return f"missing {CSV_HEADER[required.index('')]}"
-    cid, user_id, ts_text, _, _, category = required
     if cid in seen_ids:
         return f"duplicate checkin_id {cid!r}"
-    try:
-        ts = _parse_timestamp(ts_text)
+    try:  # ISO 8601, where a "Z" or no zone means UTC
+        ts = datetime.fromisoformat(ts_text[:-1] + "+00:00" if ts_text[-1] in "Zz" else ts_text)
+        if ts.tzinfo is not timezone.utc:
+            ts = (ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None
+                  else ts.astimezone(timezone.utc))
     except (ValueError, OverflowError):
         return f"bad timestamp {raw_ts!r}"
+    if not _FIRST_INSTANT <= ts <= _LAST_INSTANT:  # no local time in every supported zone
+        return f"bad timestamp {raw_ts!r}"
     # float() reads True as 1.0 and "1_3" as 13.0; neither is a coordinate
-    if (isinstance(lat, bool) or isinstance(lon, bool)
-            or isinstance(lat, str) and "_" in lat or isinstance(lon, str) and "_" in lon):
+    if (lat.__class__ is bool or lon.__class__ is bool
+            or lat.__class__ is str and "_" in lat or lon.__class__ is str and "_" in lon):
         return "non-numeric coordinates"
     try:
         lat = float(lat)

@@ -43,6 +43,7 @@ from seqmine.checkins import (
     CSV_HEADER,
     DEFAULT_WINDOWS,
     _Draft,
+    _csv_rows,
     _jsonl_rows,
     group_by_user,
     resolve_timezone,
@@ -965,6 +966,134 @@ def _jsonl_rows_reference(fp):
         yield line_no, row
 
 
+def _parse_timestamp_reference(text: str) -> datetime:
+    """A stripped ISO 8601 timestamp as a UTC instant; naive means UTC."""
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    ts = ts.astimezone(timezone.utc)
+    if not _FIRST_INSTANT <= ts <= _LAST_INSTANT:
+        raise ValueError("no local time in every supported zone")
+    return ts
+
+
+def _validate_row_reference(row: list, seen_ids: set[str], texts: dict[str, str]) -> CheckIn | str:
+    """The row validator as it was before it parsed the timestamp itself and
+    tested classes in place of isinstance: one check at a time.
+
+    The row's fields, in CSV_HEADER order, as a CheckIn, or why it is rejected.
+
+    texts maps each text value already kept to its kept string, so equal
+    values share one object."""
+    raw_id, user_id, raw_ts, lat, lon, category, subcategory, gender, origin = row
+    # only text can be blank, and coordinates convert from their raw values
+    required = (str(raw_id).strip(), str(user_id).strip(), str(raw_ts).strip(),
+                lat.strip() if isinstance(lat, str) else lat,
+                lon.strip() if isinstance(lon, str) else lon, str(category).strip())
+    if "" in required:
+        return f"missing {CSV_HEADER[required.index('')]}"
+    cid, user_id, ts_text, _, _, category = required
+    if cid in seen_ids:
+        return f"duplicate checkin_id {cid!r}"
+    try:
+        ts = _parse_timestamp_reference(ts_text)
+    except (ValueError, OverflowError):
+        return f"bad timestamp {raw_ts!r}"
+    # float() reads True as 1.0 and "1_3" as 13.0; neither is a coordinate
+    if (isinstance(lat, bool) or isinstance(lon, bool)
+            or isinstance(lat, str) and "_" in lat or isinstance(lon, str) and "_" in lon):
+        return "non-numeric coordinates"
+    try:
+        lat = float(lat)
+        lon = float(lon)
+    except (TypeError, ValueError, OverflowError):
+        return "non-numeric coordinates"
+    if not -90.0 <= lat <= 90.0:  # NaN fails every comparison: not a coordinate
+        return "non-numeric coordinates" if lat != lat or lon != lon else "lat out of range"
+    if not -180.0 <= lon <= 180.0:
+        return "non-numeric coordinates" if lon != lon else "lon out of range"
+    share = texts.setdefault
+    subcategory = str(subcategory or "").strip()
+    gender = str(gender or "").strip() or None
+    origin = str(origin or "").strip() or None
+    checkin = _Draft(  # positional, in field order: keywords cost more per row
+        cid, share(user_id, user_id), ts, lat, lon, share(category, category),
+        share(subcategory, subcategory),
+        gender and share(gender, gender),
+        origin and share(origin, origin),
+    )
+    checkin.__class__ = CheckIn
+    seen_ids.add(cid)
+    return checkin
+
+
+def _parse_checkins_reference(text, format):
+    """parse_checkins on text through the reference reader and validator:
+    the records and the (line_no, reason) list."""
+    reader = _csv_rows if format == "csv" else _jsonl_rows_reference
+    seen, texts, checkins, rejects = set(), {}, [], []
+    for line_no, raw in reader(io.StringIO(text, newline="")):
+        row = raw if isinstance(raw, str) else _validate_row_reference(raw, seen, texts)
+        if isinstance(row, str):
+            rejects.append((line_no, row))
+        else:
+            checkins.append(row)
+    return checkins, rejects
+
+
+# A row for the validator: each field a value it accepts, then up to three
+# fields a value that may make it reject the row.  Accepted values include
+# padded text, the JSON types and timestamps with "Z", "z", no zone or an
+# offset; the others include text that starts with a separator control
+# str.strip() removes and float() does not, text holding "_", NaN,
+# infinity, numbers beyond float range and instants outside the day-wide
+# margins of datetime's range.  None is written as "" in a CSV and as null
+# or nothing in JSONL.  The few ids repeat, also after a rejected row.
+_GOOD_FIELDS = {
+    "checkin_id": ("c1", " c1 ", "c2", 7, 7.0, True),
+    "user_id": ("u1", " u1", "ü2", 0, False),
+    "timestamp": (
+        "2023-05-01T08:00:00Z", "2023-05-01T08:00:00z", " 2023-05-01T08:00:00 ",
+        "2023-05-01T16:00:00+08:00", "2023-05-01T08:00:00+00:00",
+        "2023-05-01T08:00:00.500000-03:30", "0001-01-02T00:00:00Z", "9999-12-30T23:59:59.999999",
+    ),
+    "lat": ("1.3", " 1.3 ", "-90", 1.3, 0, -90, 10**-300),
+    "lon": ("103.8", " 103.8", "-180", 103.8, 180, -180.0),
+    "category": ("Park", " Café ", 5, True, 0.0),
+    "subcategory": ("", "City Park", " x ", 0, False, 1.5, None),
+    "gender": ("", "female", " ", 0, True, None),
+    "origin": ("SG", " MY ", "", 3, None),
+}
+_BAD_FIELDS = {
+    "checkin_id": ("", " ", None),
+    "user_id": ("", None),
+    "timestamp": (
+        "0001-01-01T23:59:59.999999Z", "0001-01-02T00:00:00+08:00", "0001-01-01T00:00:00+01:00",
+        "9999-12-31T00:00:00Z", "9999-12-31T23:59:00-01:00", "not-a-time",
+        "2023-13-01T00:00:00", "Z", "", 20230501, 1.5, True, None,
+    ),
+    "lat": ("\x1c1.3", "1_3", "nan", "inf", "1e400", "95", "", " ", "x", 95, True, False,
+            10**30, -(10**400), float("nan"), float("inf"), 1e300, None),
+    "lon": ("\x1c103.8", "10_3.8", "-nan", "-inf", "181", "y", "", 181, True, float("nan"),
+            10**400, None),
+    "category": ("", " ", None),
+}
+
+
+@st.composite
+def _validator_row(draw):
+    row = {k: draw(st.sampled_from(v)) for k, v in _GOOD_FIELDS.items()}
+    for k in draw(st.lists(st.sampled_from(tuple(_BAD_FIELDS)), max_size=3, unique=True)):
+        row[k] = draw(st.sampled_from(_BAD_FIELDS[k]))
+    return row
+
+
+# A nine-field JSONL row, every field filled.
+_COMPLETE_ROW = ("c1", "u1", "2023-05-01T08:00:00Z", 1.3, 103.8, "Park", "City Park", "female",
+                 "SG")
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -1044,6 +1173,17 @@ class TestIngestProperties:
     )
     @example(lines=["\x0c", " \x1c\xa0 ", "\x0c{}", '{"lat": 1} \xa0', "\t{}\t"],
              ends=["\n", "\r", "\r\n", "\n", "\r", "\n"], last_end=False)
+    @example(  # complete objects: in header order, reversed with an extra key, and
+        # with a key given twice, where JSON's last value wins, and a null
+        lines=[
+            json.dumps(dict(zip(CSV_HEADER, _COMPLETE_ROW))),
+            json.dumps(dict([*reversed(list(zip(CSV_HEADER, _COMPLETE_ROW))), ("extra", 1)])),
+            "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                            for k, v in [*zip(CSV_HEADER, _COMPLETE_ROW),
+                                         ("lat", -1.3), ("gender", None)]) + "}",
+        ],
+        ends=["\n"] * 6, last_end=True,
+    )
     def test_jsonl_reader_matches_json_loads(self, lines, ends, last_end):
         # Same (line_no, row or reason) list as json.loads line by line;
         # rows compare by repr, so NaN equals NaN and 1 differs from 1.0.
@@ -1055,6 +1195,37 @@ class TestIngestProperties:
             return [repr(item) for item in reader(io.StringIO(text, newline=""))]
 
         assert read(_jsonl_rows) == read(_jsonl_rows_reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(_validator_row(), max_size=10),
+        absent_nulls=st.booleans(),
+    )
+    @example(  # a rejected row leaves its id free for a later row
+        rows=[
+            {**dict.fromkeys(CSV_HEADER, ""), "checkin_id": "c1", "user_id": "u1",
+             "timestamp": ts, "lat": "1.3", "lon": "103.8", "category": "Park"}
+            for ts in ("not-a-time", "2023-05-01T08:00:00Z", "2023-05-01T09:00:00Z")
+        ],
+        absent_nulls=False,
+    )
+    def test_validator_matches_reference(self, rows, absent_nulls):
+        # parse_checkins gives the records, each in UTC, and the
+        # (line_no, reason) list of the reference validator, as CSV and as
+        # JSONL with nulls written out or left absent.
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [CSV_HEADER] + [[row[k] for k in CSV_HEADER] for row in rows])
+        jsonl = "".join(
+            json.dumps({k: v for k, v in row.items() if v is not None or not absent_nulls}) + "\n"
+            for row in rows
+        )
+        for fmt, text in (("csv", out.getvalue()), ("jsonl", jsonl)):
+            result = parse_checkins(io.StringIO(text, newline=""), fmt)
+            checkins, rejects = _parse_checkins_reference(text, fmt)
+            assert list(result.checkins) == checkins
+            assert all(c.timestamp.tzinfo is timezone.utc for c in result)
+            assert [(r.line_no, r.reason) for r in result.rejects] == rejects
 
     @settings(max_examples=200, deadline=None)
     @given(checkins=_written_checkins)
