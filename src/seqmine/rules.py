@@ -9,13 +9,12 @@ Three numbers describe a pattern here:
   sequence that performs the pattern several times contributes several times,
   while overlapping restatements of the same occurrence do not inflate it.
 
-``build_report`` counts a mined pattern's frequency only in the sequences
-that hold it, which the miner found during its search (PrefixSpan's
-projection entries, SPAM's non-zero bitmap columns) and kept in the
-``PatternSet``.  Those holders index the database the set was mined from, so
-they are used only when the report is given that very database object; for
-any other database, and for a hand-built set, every sequence is scanned with
-``pattern_frequency``.
+``build_report`` counts each row's frequency in one loop, over the
+sequences the miner found holding the pattern (PrefixSpan's projection
+entries, SPAM's non-zero bitmap columns, kept in the ``PatternSet``).
+Holders index the database the set was mined from, so for any other
+database object, and for a hand-built set, the loop runs over every
+sequence, as ``pattern_frequency`` does for one pattern.
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ def build_report(
     ``sort_key``, a ``top_k`` that is not an int >= 0 or an ``n_activities``
     that is not an int >= 2 raises InvalidConfigError.
 
-    Frequencies are counted only in the sequences the miner found holding
-    each pattern, when ``db`` is the database object ``patterns`` was mined
+    Each frequency is one sum over the sequences the miner found holding
+    the pattern, when ``db`` is the database object ``patterns`` was mined
     from; otherwise, or for a hand-built ``PatternSet``, over all of ``db``.
     """
     _check_report_settings(top_k, sort_key, n_activities)
@@ -155,8 +154,9 @@ def build_report(
             RuleRow(
                 pattern=p,
                 activity_sequence=_render_activities(p, patterns),
-                frequency=pattern_frequency(db, p.sequence) if held is None else sum(
-                    count_minimal_occurrences(seqs[i], p.sequence) for i in held[k]
+                frequency=sum(
+                    count_minimal_occurrences(seqs[i], p.sequence)
+                    for i in (range(len(seqs)) if held is None else held[k])
                 ),
                 support=p.support_count / len(db) if len(db) else 0.0,
                 confidence=p.support_count / denom,

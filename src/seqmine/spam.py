@@ -3,11 +3,12 @@
 Each database sequence occupies one lane column; bit j of an item's column is
 set when the item occurs in element j.  A pattern's bitmap marks every element
 position at which an occurrence of the pattern can end, so support is just the
-number of non-zero columns.  Growing the pattern is pure word arithmetic:
-an I-step ANDs the item bitmap at the same positions, an S-step first
-transforms the pattern bitmap so that only positions strictly after the
-earliest end survive.  The search itself is ``prefixspan._grow``, the driver
-that the pattern-growth miner runs too.
+number of non-zero columns, and the pattern's holders (the sequences the
+report counts in) are those columns' database indices.  Growing the pattern
+is pure word arithmetic: an I-step ANDs the item bitmap at the same
+positions, an S-step first transforms the pattern bitmap so that only
+positions strictly after the earliest end survive.  The search itself is
+``prefixspan._grow``, the driver that the pattern-growth miner runs too.
 
 Sequences are bucketed into fixed lanes of 8/16/32/64-bit words by element
 count, so short sequences (the common case in click-stream shaped data) do not
@@ -75,6 +76,7 @@ class VerticalBitmapIndex:
                     bits[item, col] = mask
             lanes.append(_Lane(w, tuple(members), bits))
         self.lanes = tuple(lanes)
+        self._lane_seqs = tuple(np.array(lane.seq_indices, dtype=np.intc) for lane in lanes)
 
     def item_bitmap(self, item_id: int) -> Bitmap:
         if not 0 <= item_id < self.n_items:
@@ -102,24 +104,25 @@ class VerticalBitmapIndex:
     def and_bitmaps(self, a: Bitmap, b: Bitmap) -> Bitmap:
         return tuple(x & y for x, y in zip(a, b))
 
+    def _set_columns(self, bitmap: Bitmap) -> np.ndarray:
+        """Database indices of the bitmap's non-zero columns, sorted, as C ints."""
+        parts = [seqs[vec != 0] for seqs, vec in zip(self._lane_seqs, bitmap)]
+        found = np.concatenate(parts or [np.empty(0, dtype=np.intc)])  # no lanes, no columns
+        found.sort(kind="stable")  # merges the lanes' runs, each sorted already
+        return found
+
     def containing_sequences(self, bitmap: Bitmap) -> list[int]:
         """Database indices of sequences with a surviving position, sorted."""
-        hits = []
-        for lane, vec in zip(self.lanes, bitmap):
-            hits.extend(lane.seq_indices[c] for c in np.nonzero(vec)[0])
-        return sorted(hits)
+        return self._set_columns(bitmap).tolist()
 
     def decode(self, bitmap: Bitmap) -> dict[int, tuple[int, ...]]:
         """{database sequence index: set positions}, omitting empty columns."""
-        out: dict[int, tuple[int, ...]] = {}
-        for lane, vec in zip(self.lanes, bitmap):
-            for col, word in enumerate(vec):
-                w = int(word)
-                if w:
-                    out[lane.seq_indices[col]] = tuple(
-                        p for p in range(lane.width) if w >> p & 1
-                    )
-        return dict(sorted(out.items()))
+        words = np.zeros(len(self.db), dtype=np.uint64)
+        for seqs, vec in zip(self._lane_seqs, bitmap):
+            words[seqs] = vec
+        cols = self._set_columns(bitmap)
+        return {si: tuple(p for p in range(w.bit_length()) if w >> p & 1)
+                for si, w in zip(cols.tolist(), words[cols].tolist())}
 
 
 def build_bitmaps(db: SequenceDatabase) -> VerticalBitmapIndex:
@@ -146,49 +149,40 @@ def i_step(
 def mine_spam(db: SequenceDatabase, cfg: MinerConfig) -> PatternSet:
     """Complete pattern set, identical to the pattern-growth miner's output.
 
-    A node's state is its bitmap, its holder columns and its candidate
-    lists, which shrink down the search tree: an item that fails as an
-    extension of a pattern cannot succeed for any descendant, because the
-    descendant's bitmap is a subset and the S-transform is monotone under bit
-    removal.  The holder columns, per lane the columns where the bitmap is
-    non-zero, shrink the same way: an extension's columns are among both its
-    parent's and its item's, so each survivor reads its bitmap only at the
-    fewer of the two.
+    A node's state is its bitmap and its candidate lists, which shrink down
+    the search tree: an item that fails as an extension of a pattern cannot
+    succeed for any descendant, because the descendant's bitmap is a subset
+    and the S-transform is monotone under bit removal.  A node's holders are
+    its bitmap's non-zero columns, read through the index.
     """
     min_count = cfg.resolve_min_count(len(db))
     index = VerticalBitmapIndex(db)
     item_bms = [index.item_bitmap(i) for i in range(index.n_items)]
     supports = [index.support(bm) for bm in item_bms]
     top = [i for i in range(index.n_items) if supports[i] >= min_count]
-    # nonzero() has a fast path for bool arrays, several times faster here
-    item_cols = {x: tuple(np.flatnonzero(vec != 0) for vec in item_bms[x]) for x in top}
-    lane_seqs = [np.array(lane.seq_indices, dtype=np.intc) for lane in index.lanes]
 
-    and_bitmaps, support = index.and_bitmaps, index.support
+    and_bitmaps, support, set_columns = index.and_bitmaps, index.support, index._set_columns
 
-    def survivors(bm: Bitmap, cols, cands) -> list:
+    def survivors(bm: Bitmap, cands) -> list[tuple[int, Bitmap, int]]:
         out = []
         for x in cands:
             nb = and_bitmaps(bm, item_bms[x])
             if (c := support(nb)) >= min_count:
-                fewer = [p if len(p) <= len(q) else q for p, q in zip(cols, item_cols[x])]
-                out.append((x, nb, tuple(at[vec[at] != 0] for vec, at in zip(nb, fewer)), c))
+                out.append((x, nb, c))
         return out
 
     def expand(elements, state):
         # of the parent's survivors, only items above the last one I-extend
-        bm, cols, s_cands, i_cands = state
-        s_next = survivors(index.s_transform(bm), cols, s_cands)
-        i_next = survivors(bm, cols, [y for y in i_cands if y > elements[-1][-1]])
-        s_keep = [x for x, _, _, _ in s_next]
-        i_keep = [y for y, _, _, _ in i_next]
-        return ([(S_EXTENSION, x, c, (nb, at, s_keep, s_keep)) for x, nb, at, c in s_next]
-                + [(I_EXTENSION, y, c, (nb, at, s_keep, i_keep)) for y, nb, at, c in i_next])
+        bm, s_cands, i_cands = state
+        s_next = survivors(index.s_transform(bm), s_cands)
+        i_next = survivors(bm, [y for y in i_cands if y > elements[-1][-1]])
+        s_keep = [x for x, _, _ in s_next]
+        i_keep = [y for y, _, _ in i_next]
+        return ([(S_EXTENSION, x, c, (nb, s_keep, s_keep)) for x, nb, c in s_next]
+                + [(I_EXTENSION, y, c, (nb, s_keep, i_keep)) for y, nb, c in i_next])
 
     def holders(state):
-        found = np.concatenate([seqs[at] for seqs, at in zip(lane_seqs, state[1])])
-        found.sort(kind="stable")  # merges the lanes' runs, each sorted already
-        return array("i", found.tobytes())
+        return array("i", set_columns(state[0]).tobytes())
 
-    roots = [(S_EXTENSION, x, supports[x], (item_bms[x], item_cols[x], top, top)) for x in top]
+    roots = [(S_EXTENSION, x, supports[x], (item_bms[x], top, top)) for x in top]
     return _grow(db, cfg, roots, expand, holders)

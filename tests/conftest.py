@@ -55,3 +55,19 @@ long_sequences = st.lists(_small_elements, min_size=20, max_size=40).map(
 short_patterns = st.lists(_small_elements, min_size=1, max_size=4).map(
     lambda elems: Sequence(tuple(elems))
 )
+
+
+_element = st.sets(st.integers(0, 3), min_size=1, max_size=2).map(lambda e: tuple(sorted(e)))
+
+
+def _run(lo, hi):
+    return st.lists(_element, min_size=lo, max_size=hi)
+
+
+# One sequence for each SPAM lane (up to 8, 16, 32 and 64 elements), so every
+# lane holds columns, and up to six more of any length, empty ones included,
+# in any order: a pattern's holders then interleave across the lanes.
+lane_databases = st.tuples(
+    _run(1, 8), _run(9, 16), _run(17, 32), _run(33, 64), st.lists(_run(0, 64), max_size=6),
+).flatmap(lambda t: st.permutations([*t[:4], *t[4]])).map(
+    lambda raw: as_database(raw, alphabet=4))

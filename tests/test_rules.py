@@ -29,7 +29,7 @@ from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
 from seqmine.synth import bms_shape, generate_synthetic
 
 import oracle
-from conftest import as_database, long_sequences, short_patterns
+from conftest import as_database, lane_databases, long_sequences, short_patterns
 
 
 def pat(db, *elems):
@@ -249,21 +249,6 @@ class TestIndexedReport:
         with pytest.raises(UndefinedConfidenceError):
             build_report(ps, db, n_activities=None)
 
-
-_element = st.sets(st.integers(0, 3), min_size=1, max_size=2).map(lambda e: tuple(sorted(e)))
-
-
-def _run(lo, hi):
-    return st.lists(_element, min_size=lo, max_size=hi)
-
-
-# One sequence for each SPAM lane (up to 8, 16, 32 and 64 elements), so every
-# lane holds columns, and up to six more of any length, empty ones included,
-# in any order: a pattern's holders then interleave across the lanes.
-lane_databases = st.tuples(
-    _run(1, 8), _run(9, 16), _run(17, 32), _run(33, 64), st.lists(_run(0, 64), max_size=6),
-).flatmap(lambda t: st.permutations([*t[:4], *t[4]])).map(
-    lambda raw: as_database(raw, alphabet=4))
 
 MINERS = pytest.mark.parametrize("miner", [mine, mine_spam], ids=["prefixspan", "spam"])
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqmine import (
     CapacityExceededError,
+    ItemDictionary,
     MinerConfig,
+    Sequence,
     SequenceDatabase,
     build_bitmaps,
     mine,
@@ -15,7 +17,7 @@ from seqmine import (
 from seqmine.spam import i_step, s_step
 
 import oracle
-from conftest import as_database
+from conftest import as_database, lane_databases
 
 
 def item_id(db, label):
@@ -89,6 +91,32 @@ class TestIndexConstruction:
         idx = build_bitmaps(digits_db)
         with pytest.raises(IndexError):
             idx.item_bitmap(99)
+
+    def test_index_with_no_lanes(self):
+        # Items exist but every sequence is empty, so no lane is built and
+        # every bitmap is the empty tuple.
+        db = SequenceDatabase((Sequence(),), ("s",), ItemDictionary(("a",)))
+        idx = build_bitmaps(db)
+        bm = idx.item_bitmap(0)
+        assert idx.lanes == ()
+        assert idx.containing_sequences(bm) == []
+        assert idx.decode(bm) == {}
+        assert idx.support(bm) == 0
+        assert len(mine_spam(db, MinerConfig(min_support=1))) == 0
+
+    @given(db=lane_databases)
+    @settings(max_examples=40, deadline=None)
+    def test_set_columns_agree_across_lanes(self, db):
+        # Holders, containing_sequences and decode share one reader of the
+        # non-zero columns; check it where the columns interleave across lanes.
+        idx = build_bitmaps(db)
+        items = [idx.item_bitmap(i) for i in range(idx.n_items)]
+        bitmaps = [*items, *map(idx.s_transform, items), idx.and_bitmaps(items[0], items[1])]
+        for bm in bitmaps:
+            found = idx.containing_sequences(bm)
+            assert found == sorted(idx.decode(bm))
+            assert len(found) == idx.support(bm)
+            assert all(type(i) is int for i in found)
 
 
 class TestSteps:
