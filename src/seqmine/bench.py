@@ -70,10 +70,8 @@ def run_bench(
     pattern or support, or, where both sets carry them, in the sequences
     found holding any pattern.
     """
-    if not _is_count(repeats):
-        raise InvalidConfigError(f"repeats must be an int, got {repeats!r}")
-    if repeats < 1:
-        raise InvalidConfigError("repeats must be >= 1")
+    if not _is_count(repeats, 1):
+        raise InvalidConfigError(f"repeats must be an int >= 1, got {repeats!r}")
     if not supports:
         raise InvalidConfigError("need at least one support level")
     n, avg, alphabet = dataset_stats(db)

@@ -21,8 +21,8 @@ from .errors import EmptyElementError, UnknownLabelError
 Element = tuple[int, ...]
 
 
-def _is_count(value) -> bool:  # what every count setting takes
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_count(value, least: int) -> bool:  # the one check of every count setting
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 class Item(NamedTuple):

@@ -81,17 +81,13 @@ class MinerConfig:
 
     def __post_init__(self) -> None:
         support, length = self.min_support, self.max_length
-        if _is_count(support):
-            if support < 1:
-                raise InvalidConfigError("min_support count must be >= 1")
-        elif not isinstance(support, float):
-            raise InvalidConfigError("min_support must be an int count or a fraction")
-        elif not 0.0 < support <= 1.0:
-            raise InvalidConfigError("min_support fraction must be in (0,1]")
-        if length is not None and not _is_count(length):
-            raise InvalidConfigError(f"max_length must be an int, got {length!r}")
-        if length is not None and length < 1:
-            raise InvalidConfigError("max_length must be >= 1 when set")
+        if isinstance(support, float):
+            if not 0.0 < support <= 1.0:
+                raise InvalidConfigError("min_support fraction must be in (0,1]")
+        elif not _is_count(support, 1):
+            raise InvalidConfigError(f"min_support count must be >= 1, got {support!r}")
+        if length is not None and not _is_count(length, 1):
+            raise InvalidConfigError(f"max_length must be an int >= 1, got {length!r}")
 
     def resolve_min_count(self, n_sequences: int) -> int:
         """min_support as a count for this database size (checked when built)."""

@@ -99,10 +99,8 @@ def _check_report_settings(top_k: int | None, sort_key: str, n_activities: int |
     if sort_key not in VALID_SORT_KEYS:
         raise InvalidConfigError(f"sort_key must be one of {VALID_SORT_KEYS}")
     for name, value, least in (("top_k", top_k, 0), ("n_activities", n_activities, 2)):
-        if value is not None and not _is_count(value):
-            raise InvalidConfigError(f"{name} must be an int, got {value!r}")
-        if value is not None and value < least:
-            raise InvalidConfigError(f"{name} must be >= {least}, got {value}")
+        if value is not None and not _is_count(value, least):
+            raise InvalidConfigError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def build_report(
@@ -121,9 +119,11 @@ def build_report(
     ``sort_key``, a ``top_k`` that is not an int >= 0 or an ``n_activities``
     that is not an int >= 2 raises InvalidConfigError.
 
-    Each frequency is one sum over the sequences the miner found holding
-    the pattern, when ``db`` is the database object ``patterns`` was mined
-    from; otherwise, or for a hand-built ``PatternSet``, over all of ``db``.
+    Support is the mined set's fraction, ``support_count / n_sequences``
+    (``PatternSet.relative_support``); frequency is counted in ``db``, as
+    one sum over the sequences the miner found holding the pattern when
+    ``db`` is the database object ``patterns`` was mined from, otherwise,
+    or for a hand-built ``PatternSet``, over all of ``db``.
     """
     _check_report_settings(top_k, sort_key, n_activities)
     supports = patterns.as_dict()
@@ -158,7 +158,7 @@ def build_report(
                     count_minimal_occurrences(seqs[i], p.sequence)
                     for i in (range(len(seqs)) if held is None else held[k])
                 ),
-                support=p.support_count / len(db) if len(db) else 0.0,
+                support=patterns.relative_support(p),
                 confidence=p.support_count / denom,
             )
         )

@@ -168,10 +168,10 @@ class GeneratorConfig:
     length_weights: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not _is_count(self.n_users) or self.n_users < 0:
+        if not _is_count(self.n_users, 0):
             raise InvalidConfigError(f"n_users must be an int >= 0, got {self.n_users!r}")
         lo, hi = self.checkins_min, self.checkins_max
-        if not (_is_count(lo) and _is_count(hi) and 1 <= lo <= hi):
+        if not (_is_count(lo, 1) and _is_count(hi, lo)):
             raise InvalidConfigError(
                 "need ints with 1 <= checkins_min <= checkins_max, got "
                 f"{lo!r} and {hi!r}"
@@ -183,7 +183,7 @@ class GeneratorConfig:
             weights = [w for _, w in self.length_weights]
         except (TypeError, ValueError):
             counts = weights = []
-        if not counts or not all(_is_count(k) and k >= 1 for k in counts) or not all(
+        if not counts or not all(_is_count(k, 1) for k in counts) or not all(
             isinstance(w, Real) and w > 0 for w in weights
         ):
             raise InvalidConfigError(

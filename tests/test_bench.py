@@ -91,6 +91,11 @@ class TestRunBench:
         with pytest.raises(InvalidConfigError, match="repeats"):
             run_bench(letters_db, [2], repeats=repeats)
 
+    def test_repeats_message(self, letters_db):
+        with pytest.raises(InvalidConfigError) as exc:
+            run_bench(letters_db, [2], repeats=0)
+        assert str(exc.value) == "repeats must be an int >= 1, got 0"
+
 
 class TestOutputs:
     def test_csv_layout(self, letters_db):

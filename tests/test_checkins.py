@@ -543,6 +543,7 @@ class TestActivityMap:
         ]
         tagged = apply_activity_map(checkins, self.MAP)
         assert [a for _, a in tagged] == ["Nature", "Other"]
+        assert len(tagged) == 2
         assert tagged.dropped == 1
         assert tagged.unmatched == {"Bowling Alley": 1}
 

@@ -208,6 +208,38 @@ class TestMine:
         assert code == 2
         assert "min_support count must be >= 1" in capsys.readouterr().err
 
+    def test_explicit_format_overrides_extension(self, tmp_path):
+        jsonl = tmp_path / "c.jsonl"
+        assert main(["generate", "--users", "20", "--out", str(jsonl)]) == 0
+        path = jsonl.rename(tmp_path / "checkins.txt")
+        assert main(["mine", "--input", str(path), "--format", "jsonl",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["mine", "--input", str(path), "--out", str(tmp_path / "b")]) == 3
+
+    def test_unparsable_support_is_usage_error(self, corpus_csv, tmp_path, capsys):
+        code = main(["mine", "--input", str(corpus_csv), "--min-support", "abc",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_window_file_without_windows_is_config_error(self, corpus_csv, tmp_path,
+                                                         capsys):
+        rules = tmp_path / "rules.cfg"
+        rules.write_text("Park = Nature\n")
+        code = main(["mine", "--input", str(corpus_csv),
+                     "--windows", str(rules), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "defines no windows" in capsys.readouterr().err
+
+    def test_window_time_not_hh_mm_is_config_error(self, corpus_csv, tmp_path, capsys):
+        winfile = tmp_path / "win.cfg"
+        winfile.write_text("window morning 7am 14:00\n")
+        code = main(["mine", "--input", str(corpus_csv),
+                     "--windows", str(winfile), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_bad_window_file_is_config_error(self, corpus_csv, tmp_path, capsys):
         winfile = tmp_path / "win.cfg"
         winfile.write_text("window broken\n")

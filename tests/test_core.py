@@ -51,6 +51,15 @@ class TestItemDictionary:
         assert ItemDictionary.from_labels(["a", "b"]).compact
         assert not ItemDictionary.from_labels(["ab", "c"]).compact
 
+    def test_unsorted_labels_refused(self):
+        with pytest.raises(ValueError, match="unique and sorted"):
+            ItemDictionary(("b", "a"))
+
+    def test_items_and_membership(self):
+        d = ItemDictionary(("a", "b"))
+        assert d.items() == ((0, "a"), (1, "b"))
+        assert "b" in d and "z" not in d
+
 
 class TestCanonicalize:
     def test_sorts_items_within_element(self):
@@ -138,6 +147,13 @@ class TestIsPrefix:
         d = letters_db.dictionary
         assert is_prefix(canonicalize([["a"]], d), letters_db.sequences[0])
 
+    def test_refusals(self):
+        a = Sequence(((0,), (1, 2)))
+        assert not is_prefix(Sequence(), a)  # empty prefix
+        assert not is_prefix(Sequence(((0,), (1,), (2,))), a)  # longer than a
+        assert not is_prefix(Sequence(((1,), (1,))), a)  # leading elements differ
+        assert not is_prefix(Sequence(((0,), (3,))), a)  # last element no subset
+
     def test_prefix_implies_containment(self):
         rng = random.Random(4)
         for _ in range(300):
@@ -169,6 +185,20 @@ class TestSuffix:
         suf = suffix(db0.sequences[0], canonicalize([["7"]], d))
         assert suf.is_empty
         assert suf == EMPTY_SUFFIX
+
+    def test_empty_leading_partial_refused(self):
+        with pytest.raises(EmptyElementError):
+            Suffix((), ())
+
+    def test_empty_prefix_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            suffix(Sequence(((0,),)), Sequence())
+
+    def test_concat_refusals(self):
+        with pytest.raises(ValueError, match="empty prefix"):
+            concat(Sequence(), Suffix((1,), ()))
+        with pytest.raises(ValueError, match="ordered after"):
+            concat(Sequence(((2,),)), Suffix((1,), ()))
 
     def test_reconstruction_is_contained(self):
         rng = random.Random(11)

@@ -11,6 +11,7 @@ from seqmine import (
     MinerConfig,
     ProjectedDatabase,
     SequenceDatabase,
+    Suffix,
     contains_subsequence,
     frequent_extensions,
     frequent_items,
@@ -59,6 +60,17 @@ class TestMinerConfig:
         # no resolve_min_count call: the config itself refuses the value
         with pytest.raises(InvalidConfigError, match=field):
             MinerConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"min_support": 0}, "min_support count must be >= 1, got 0"),
+        ({"min_support": True}, "min_support count must be >= 1, got True"),
+        ({"max_length": 0}, "max_length must be an int >= 1, got 0"),
+        ({"max_length": 2.5}, "max_length must be an int >= 1, got 2.5"),
+    ])
+    def test_count_messages(self, kwargs, message):
+        with pytest.raises(InvalidConfigError) as exc:
+            MinerConfig(**kwargs)
+        assert str(exc.value) == message
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -121,6 +133,12 @@ class TestFrequentExtensions:
         with pytest.raises(ValueError):
             project(root, Extension(a, I_EXTENSION, 4))
 
+    def test_unknown_kind_refused(self, letters_db):
+        root = ProjectedDatabase.root(letters_db)
+        a = letters_db.dictionary.item("a")
+        with pytest.raises(ValueError, match="unknown extension kind"):
+            project(root, Extension(a, "x", 4))
+
 
 class TestProjectionTable:
     """Single-item projections of the letter fixture, with items below the
@@ -149,6 +167,14 @@ class TestProjectionTable:
         e = letters_db.dictionary.item("e")
         pdb = project(root, Extension(e, S_EXTENSION, 2))
         assert len(pdb.suffixes()) == 2
+
+    def test_suffix_filtered_to_nothing_dropped(self):
+        # Both sequences hold a suffix after <a>, but the first holds only g.
+        db = SequenceDatabase.from_raw([[["a"], ["g"]], [["a"], ["b"]]])
+        a, b = db.dictionary.item("a"), db.dictionary.item("b")
+        pdb = project(ProjectedDatabase.root(db), Extension(a, S_EXTENSION, 2))
+        assert len(pdb) == len(pdb.suffixes()) == 2
+        assert pdb.suffixes(include=[b.id]) == [Suffix(None, ((b.id,),))]
 
     def test_every_entry_has_a_suffix(self, letters_db):
         root = ProjectedDatabase.root(letters_db)

@@ -29,7 +29,9 @@ from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
 from seqmine.synth import bms_shape, generate_synthetic
 
 import oracle
-from conftest import as_database, lane_databases, long_sequences, short_patterns
+from conftest import (
+    DIGIT_ROWS, LETTER_ROWS, as_database, lane_databases, long_sequences, short_patterns,
+)
 
 
 def pat(db, *elems):
@@ -92,6 +94,10 @@ class TestMinimalOccurrences:
     def test_absent_pattern(self, digits_db):
         s2 = digits_db.sequences[1]
         assert count_minimal_occurrences(s2, pat(digits_db, ["5"])) == 0
+
+    def test_empty_pattern_refused(self, digits_db):
+        with pytest.raises(ValueError, match="non-empty"):
+            count_minimal_occurrences(digits_db.sequences[0], Sequence())
 
     def test_database_totals(self, digits_db):
         assert pattern_frequency(digits_db, pat(digits_db, ["2"], ["1"])) == 5
@@ -180,6 +186,18 @@ class TestBuildReport:
         ps = mine(digits_db, MinerConfig(min_support=3))
         with pytest.raises(InvalidConfigError, match=field):
             build_report(ps, digits_db, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"top_k": -1}, "top_k must be an int >= 0, got -1"),
+        ({"top_k": 1.5}, "top_k must be an int >= 0, got 1.5"),
+        ({"n_activities": 1}, "n_activities must be an int >= 2, got 1"),
+        ({"n_activities": "3"}, "n_activities must be an int >= 2, got '3'"),
+    ])
+    def test_count_messages(self, digits_db, kwargs, message):
+        ps = mine(digits_db, MinerConfig(min_support=3))
+        with pytest.raises(InvalidConfigError) as exc:
+            build_report(ps, digits_db, **kwargs)
+        assert str(exc.value) == message
 
     def test_frequency_no_less_than_containing_sequences(self, letters_db):
         ps = mine(letters_db, MinerConfig(min_support=2))
@@ -322,6 +340,19 @@ class TestMinedHolders:
             assert len(rows) >= 10, name
             for r in rows:
                 assert r.frequency == pattern_frequency(other, r.pattern.sequence), name
+
+    @MINERS
+    def test_support_is_the_mined_sets_fraction(self, miner):
+        # Mined from 8 sequences, reported over the first 2: support stays
+        # support_count / 8, while frequency is counted in the 2.
+        db = SequenceDatabase.from_raw(LETTER_ROWS + DIGIT_ROWS)
+        ps = miner(db, MinerConfig(min_support=2))
+        first_two = SequenceDatabase(db.sequences[:2], db.seq_ids[:2], db.dictionary)
+        rows = build_report(ps, first_two, n_activities=None)
+        assert len(db) == 8 and len(rows) >= 10
+        for r in rows:
+            assert r.support == ps.relative_support(r.pattern) <= 1
+            assert r.frequency == pattern_frequency(first_two, r.pattern.sequence)
 
     @MINERS
     def test_copies_keep_the_patterns_and_drop_the_holders(self, miner, letters_db):
