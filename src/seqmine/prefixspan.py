@@ -359,21 +359,37 @@ def _scan(
     ``hits`` holds the earliest occurrence of the extension in each sequence
     that has one, in the same form, so its length is the support.  The
     extensions come S first, then I, each by ascending item id.
+
+    One start costs a walk over its open partial, if any, and one set of the
+    items already S-hit, made only when two or more elements follow it or the
+    one that does holds several items.  A start with nothing after it, or
+    with one one-item element after it, makes no set at all.  The items
+    already I-hit are the partial's until a later element holds the whole of
+    ``last``; only then is a set made of them.
     """
     lmax = last[-1] if last else -1
     multi = len(last) > 1
     s_hits, i_hits = defaultdict(list), defaultdict(list)
     for si, eo, io in starts:
         seq = seqs[si]
-        i_seen = set()
+        partial = ()
         if io >= 0:
-            # the open partial, the rest of the start's element, only I-extends
+            # the open partial, the rest of the start's element, only
+            # I-extends; an element's items are distinct, so none repeats
             elem = seq[eo]
-            for k in range(io + 1, len(elem)):
-                i_seen.add(elem[k])
-                i_hits[elem[k]].append((si, eo, k))
+            if io + 1 < len(elem):
+                partial = elem[io + 1:]
+                for k in range(io + 1, len(elem)):
+                    i_hits[elem[k]].append((si, eo, k))
             eo += 1
+        left = len(seq) - eo
+        if not left:
+            continue
+        if left == 1 and len(seq[eo]) == 1:  # one S-hit, too small to I-extend
+            s_hits[seq[eo][0]].append((si, eo, 0))
+            continue
         s_seen = set()
+        i_seen = None
         for j in range(eo, len(seq)):
             elem = seq[j]
             if len(elem) == 1:  # most elements; too small to I-extend
@@ -390,6 +406,8 @@ def _scan(
             # for a one-item last element it is the whole subset test
             if lmax not in elem or multi and not _is_subset(last, elem):
                 continue
+            if i_seen is None:
+                i_seen = set(partial)
             for k in range(elem.index(lmax) + 1, len(elem)):
                 if elem[k] not in i_seen:
                     i_seen.add(elem[k])
@@ -397,7 +415,7 @@ def _scan(
     return [
         (kind, i, len(hits[i]), hits[i])
         for kind, hits in ((S_EXTENSION, s_hits), (I_EXTENSION, i_hits))
-        for i in sorted(hits) if len(hits[i]) >= min_count
+        for i in sorted([i for i, h in hits.items() if len(h) >= min_count])
     ]
 
 

@@ -124,18 +124,28 @@ def build_report(
     one sum over the sequences the miner found holding the pattern when
     ``db`` is the database object ``patterns`` was mined from, otherwise,
     or for a hand-built ``PatternSet``, over all of ``db``.
+
+    Confidence takes both of its counts from one database.  When
+    ``patterns`` holds the row's antecedent, as a mined set always does,
+    both come from the set: ``support_count`` over the antecedent's.  When
+    it does not (a filtered or hand-built set), both are counted in ``db``,
+    as ``rule_confidence`` does.  So no confidence exceeds 1, and an
+    antecedent that no sequence holds raises UndefinedConfidenceError.
     """
     _check_report_settings(top_k, sort_key, n_activities)
     supports = patterns.as_dict()
     held = patterns._holders_in(db)
     seqs = db.sequences
 
-    def antecedent_count(p: Pattern) -> int:
-        ante = p.sequence.elements[:-1]
-        hit = supports.get(ante)
-        if hit is not None:
-            return hit
-        return pattern_support(db, Sequence(ante))[0]
+    def confidence(p: Pattern) -> float:
+        denom = supports.get(p.sequence.elements[:-1])
+        if denom is None:  # the set lacks the antecedent: both counts from db
+            return rule_confidence(db, p.sequence)
+        if denom == 0:
+            raise UndefinedConfidenceError(
+                f"antecedent of {p.sequence.elements!r} never occurs"
+            )
+        return p.support_count / denom
 
     rows = []
     for k, p in enumerate(patterns):
@@ -145,11 +155,6 @@ def build_report(
                 continue
         elif len(elems) < 2:
             continue
-        denom = antecedent_count(p)
-        if denom == 0:
-            raise UndefinedConfidenceError(
-                f"antecedent of {p.sequence.elements!r} never occurs"
-            )
         rows.append(
             RuleRow(
                 pattern=p,
@@ -159,7 +164,7 @@ def build_report(
                     for i in (range(len(seqs)) if held is None else held[k])
                 ),
                 support=patterns.relative_support(p),
-                confidence=p.support_count / denom,
+                confidence=confidence(p),
             )
         )
     rows.sort(key=lambda r: (-getattr(r, sort_key), r.activity_sequence))

@@ -20,7 +20,7 @@ from seqmine import (
     projection_table,
     suffix,
 )
-from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION
+from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION, _scan
 
 import oracle
 from conftest import LETTER_ROWS, as_database
@@ -444,6 +444,46 @@ class TestScanFromHits:
         assert got.as_dict() == oracle.mine_exhaustive(raw, min_count, max_length)
         elements = [p.sequence.elements for p in got]
         assert elements == sorted(elements)
+        # the hits that found each pattern also name the sequences holding it
+        for p, held in zip(got, got._holders_in(db)):
+            if len(p.sequence.elements) > 1:
+                assert list(held) == [
+                    i for i, s in enumerate(db.sequences)
+                    if contains_subsequence(s, p.sequence)
+                ]
+
+    # One sequence, one start, every hit: (kind, item, hits) for a scan of
+    # the prefix whose last element is `last`, from `start`.
+    @staticmethod
+    def hits(seq, last, start):
+        return [(kind, i, hits) for kind, i, _, hits in _scan([seq], last, [start], 1)]
+
+    def test_empty_suffix_after_an_open_partial(self):
+        # the partial only I-extends, and nothing follows it
+        assert self.hits(((0, 1, 2),), (0,), (0, 0, 0)) == [
+            ("I", 1, [(0, 0, 1)]), ("I", 2, [(0, 0, 2)])]
+        assert self.hits(((0, 1, 2),), (0, 2), (0, 0, 2)) == []
+
+    def test_one_one_item_element_left(self):
+        assert self.hits(((0, 1), (2,)), (0,), (0, 0, 0)) == [
+            ("S", 2, [(0, 1, 0)]), ("I", 1, [(0, 0, 1)])]
+        assert self.hits(((3,),), (), (0, 0, -1)) == [("S", 3, [(0, 0, 0)])]
+        # one element left, but of two items: each is an S-hit, and one I-hits
+        assert self.hits(((0,), (0, 2)), (0,), (0, 0, 0)) == [
+            ("S", 0, [(0, 1, 0)]), ("S", 2, [(0, 1, 1)]), ("I", 2, [(0, 1, 1)])]
+
+    def test_later_element_holds_the_last_after_an_open_partial(self):
+        # item 1 I-hits in the partial first, so (0, 1, 3) adds only item 3
+        assert self.hits(((0, 1), (2,), (0, 1, 3)), (0,), (0, 0, 0)) == [
+            ("S", 0, [(0, 2, 0)]), ("S", 1, [(0, 2, 1)]), ("S", 2, [(0, 1, 0)]),
+            ("S", 3, [(0, 2, 2)]), ("I", 1, [(0, 0, 1)]), ("I", 3, [(0, 2, 2)])]
+
+    def test_item_repeated_later_in_the_suffix(self):
+        # each item's first occurrence is its one hit in the sequence
+        assert self.hits(((0,), (1,), (1, 2), (1,)), (0,), (0, 0, 0)) == [
+            ("S", 1, [(0, 1, 0)]), ("S", 2, [(0, 2, 1)])]
+        assert self.hits(((1,), (1, 2), (1, 2)), (1,), (0, 0, 0)) == [
+            ("S", 1, [(0, 1, 0)]), ("S", 2, [(0, 1, 1)]), ("I", 2, [(0, 1, 1)])]
 
 class TestLongPatterns:
     def test_pattern_longer_than_the_recursion_limit(self):

@@ -267,6 +267,51 @@ class TestIndexedReport:
         with pytest.raises(UndefinedConfidenceError):
             build_report(ps, db, n_activities=None)
 
+    def test_lone_pattern_confidence_counts_in_one_database(self):
+        # Each 3-element pattern of 8 sequences, reported alone over the
+        # first 2: the set lacks every antecedent, so both counts come from
+        # the 2.  Taking the pattern's count from the 8 instead read 1.5 or
+        # 2.0 on 5 of these rows (a > d > c read 2.0).
+        db = SequenceDatabase.from_raw(LETTER_ROWS + DIGIT_ROWS)
+        ps = mine(db, MinerConfig(min_support=2))
+        first_two = SequenceDatabase(db.sequences[:2], db.seq_ids[:2], db.dictionary)
+        confidences = {}
+        for p in ps:
+            if len(p.sequence.elements) != 3:
+                continue
+            lone = PatternSet((p,), ps.n_sequences, ps.dictionary)
+            try:
+                [row] = build_report(lone, first_two, n_activities=None)
+            except UndefinedConfidenceError:  # the antecedent is in neither of the 2
+                continue
+            assert row.confidence == rule_confidence(first_two, p.sequence) <= 1
+            confidences[row.activity_sequence] = row.confidence
+        assert len(confidences) == 10
+        assert confidences["a > d > c"] == 1.0
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(0, 8), lone=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_confidence_is_at_most_one_over_any_prefix(self, seed, n, lone):
+        # One-pattern or randomly filtered sets, reported over the first n
+        # sequences: a row's antecedent is either in the set, with counts
+        # from the mined database, or counted in the prefix with the row's.
+        db = self.random_database(seed)
+        ps = mine(db, MinerConfig(min_support=2, max_length=5))
+        prefix = SequenceDatabase(db.sequences[:n], db.seq_ids[:n], db.dictionary)
+        if lone:
+            subsets = [(p,) for p in ps]
+        else:
+            rng = random.Random(seed)
+            subsets = [tuple(p for p in ps if rng.random() < 0.5)]
+        for kept in subsets:
+            try:
+                rows = build_report(PatternSet(kept, ps.n_sequences, ps.dictionary),
+                                    prefix, n_activities=None)
+            except UndefinedConfidenceError:
+                continue
+            for r in rows:
+                assert r.confidence <= 1
+
 
 MINERS = pytest.mark.parametrize("miner", [mine, mine_spam], ids=["prefixspan", "spam"])
 
