@@ -500,10 +500,11 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     Within a group, check-ins sort by timestamp, and the activities of the
     check-ins at one instant form one element, so the order of check-ins
     at the same instant does not matter.  Activities are encoded once per
-    database, from one dictionary of all the groups' activities, and the
-    one-item elements of an activity are one shared tuple.  A sequence is
-    named ``user``, or ``user|window`` for a windowed group.  The groups'
-    pairs are read in place; none is copied.
+    database, from one dictionary of all the groups' activities.  Only an
+    element that another activity joins at its instant is sorted and
+    deduplicated, so an activity's one-item elements are one shared tuple.
+    A sequence is named ``user``, or ``user|window`` for a windowed group.
+    The groups' pairs are read in place; none is copied.
     """
     dictionary = ItemDictionary.from_labels(
         activity for records in groups.values() for _, activity in records
@@ -515,12 +516,12 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
         elements: list[tuple[int, ...]] = []
         instant = None
         for c, activity in sorted(groups[(user_id, window)], key=lambda p: p[0].timestamp):
-            if c.timestamp == instant:
-                elements[-1] += single[activity]
-            else:
+            if c.timestamp != instant:
                 elements.append(single[activity])
                 instant = c.timestamp
-        sequences.append(Sequence.from_ids(elements))  # sorts and dedupes each element
+            elif single[activity][0] not in elements[-1]:
+                elements[-1] = tuple(sorted(elements[-1] + single[activity]))
+        sequences.append(Sequence(tuple(elements)))
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
     return SequenceDatabase(tuple(sequences), tuple(seq_ids), dictionary)
 

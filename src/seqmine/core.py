@@ -4,6 +4,8 @@ A sequence is an ordered list of elements; an element is a non-empty set of
 items occurring together.  Items are dictionary-encoded integers whose order
 mirrors the alphabetical order of their labels, so "listed alphabetically"
 is an integer comparison.  All types are immutable and operations are pure.
+``canonicalize`` is the one canonicalizer of raw label lists; every other
+sequence is canonical by construction, so nothing canonicalizes it again.
 
 Text rendering follows the conventional notation: elements in parentheses,
 singleton elements bare when the alphabet is single-character, and a leading
@@ -103,19 +105,6 @@ class Sequence:
     def render(self, dictionary: ItemDictionary) -> str:
         return render_elements(self.elements, dictionary)
 
-    @classmethod
-    def from_ids(cls, elements: Iterable[Iterable[int]]) -> "Sequence":
-        """Build a canonical sequence from raw id lists (sorts, dedupes)."""
-        canon = []
-        for elem in elements:
-            ids = tuple(elem)
-            if len(ids) > 1:
-                ids = tuple(sorted(set(ids)))
-            elif not ids:
-                raise EmptyElementError("empty element in sequence")
-            canon.append(ids)
-        return cls(tuple(canon))
-
 
 @dataclass(frozen=True)
 class Suffix:
@@ -188,13 +177,18 @@ class SequenceDatabase:
 def canonicalize(
     raw: SequenceABC[SequenceABC[str]], dictionary: ItemDictionary
 ) -> Sequence:
-    """Encode label lists into a canonical Sequence.
+    """Encode label lists into a canonical Sequence: the one canonicalizer.
 
     Items within an element are sorted by id and duplicates collapse; the
-    resulting expression of a sequence is unique.
+    resulting expression of a sequence is unique.  An empty element raises.
     """
     encode = dictionary.encode
-    return Sequence.from_ids(map(encode, elem) for elem in raw)
+    elements = []
+    for elem in raw:
+        if not (ids := {encode(lb) for lb in elem}):
+            raise EmptyElementError("empty element in sequence")
+        elements.append(tuple(sorted(ids)))
+    return Sequence(tuple(elements))
 
 
 def render_elements(

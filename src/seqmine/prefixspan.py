@@ -323,15 +323,19 @@ def _grow(db: SequenceDatabase, cfg: MinerConfig, roots: list, expand, holders) 
     A node's state also knows which sequences hold its pattern:
     ``holders(state)`` gives their sorted indices as an ``array("i")``, kept
     in the ``PatternSet`` for every pattern of two or more elements (the
-    ones a report can count).
+    ones a report can count).  ``RuntimeError`` stops a broken ``expand``
+    that offers a pattern no sequence can hold: too long, or not canonical.
     """
     max_length = cfg.max_length
+    longest = max(map(len, db.sequences), default=0)
     patterns: list[Pattern] = []
     held: list[array | None] = []
     stack = [((), 0, ext) for ext in reversed(roots)]
     while stack:
         parent, n_items, (kind, item, support, state) = stack.pop()
         elements = _grown(parent, kind, item)
+        if len(elements) > longest or kind == I_EXTENSION and item <= parent[-1][-1]:
+            raise RuntimeError(f"broken expand: no sequence can hold {elements}")
         n_items += 1
         patterns.append(Pattern(Sequence(elements), support))
         held.append(holders(state) if len(elements) > 1 else None)

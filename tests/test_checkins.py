@@ -720,7 +720,8 @@ class TestSequenceAssembly:
     def test_elements_are_the_activities_of_each_instant(self, records, data):
         # Instants repeat and activities repeat within an instant.  Element k
         # holds exactly the activities at the group's k-th distinct instant,
-        # whatever the order of the group's records.
+        # whatever the order of the group's records, and every one-item
+        # element of an activity is one shared tuple, a repeated one's too.
         base = datetime(2023, 5, 1, 8, tzinfo=timezone.utc)
         groups = {
             key: [
@@ -741,6 +742,9 @@ class TestSequenceAssembly:
                 tuple(sorted({a for c, a in groups[key] if c.timestamp == t}))
                 for t in instants
             )
+        shared = {}
+        for elem in (e for seq in db.sequences for e in seq if len(e) == 1):
+            assert shared.setdefault(elem, elem) is elem
 
 
     @settings(max_examples=80, deadline=None)

@@ -1,10 +1,11 @@
 import io
 import json
 import random
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from seqmine import (
     InvalidConfigError,
@@ -20,7 +21,7 @@ from seqmine import (
     projection_table,
     suffix,
 )
-from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION, _scan
+from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION, _grow, _scan
 
 import oracle
 from conftest import LETTER_ROWS, as_database
@@ -370,7 +371,10 @@ class TestAgainstExhaustiveReference:
         ),
         min_count=st.integers(1, 2),
     )
-    @settings(max_examples=3, deadline=None)
+    # no shrink phase: a counterexample keeps its 130-plus elements however
+    # far it shrinks, and shrinking one took Hypothesis about two minutes
+    @settings(max_examples=3, deadline=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
     def test_sequences_past_64_elements(self, raw, min_count):
         # past SPAM's 64-element bitmap lanes only pattern growth can answer
         db = as_database(raw, alphabet=4)
@@ -494,3 +498,18 @@ class TestLongPatterns:
         assert len(ps) == 1100
         assert [len(p.sequence) for p in ps] == list(range(1, 1101))
         assert {p.support_count for p in ps} == {1}
+
+    @pytest.mark.parametrize("kind", [S_EXTENSION, I_EXTENSION])
+    def test_broken_expand_raises(self, kind):
+        # an expand that always offers item 0 again is a broken miner: one
+        # more S-extension outgrows the one-element database, and an
+        # I-extension by an item already in the element is not canonical.
+        # Below max_length the search would emit a 5-item pattern, and
+        # without one it would never stop; it raises a plain RuntimeError,
+        # a bug check and not an input error.
+        db = SequenceDatabase.from_raw([[("a",)]])
+        roots, more = [(S_EXTENSION, 0, 1, None)], [(kind, 0, 1, None)]
+        with pytest.raises(RuntimeError, match="no sequence can hold") as excinfo:
+            _grow(db, MinerConfig(min_support=1, max_length=5), roots,
+                  lambda elements, state: more, lambda state: array("i", [0]))
+        assert excinfo.type is RuntimeError
