@@ -3,7 +3,8 @@
 Runtimes are recorded, never judged: which miner wins depends on hardware
 and data shape.  The full pattern sets, supports included, must agree at
 every support level; a mismatch means a correctness bug and is raised as a
-hard error.
+hard error.  ``_check_bench_settings`` holds the settings rules, so the CLI
+refuses a bad setting before it generates the database.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ def _peak_rss_kb() -> int:
     return rss // 1024 if sys.platform == "darwin" else rss
 
 
+def _check_bench_settings(supports: SequenceABC[int | float], repeats: int) -> None:
+    """run_bench's settings rules; ``seqmine bench`` runs them before any data."""
+    if not _is_count(repeats, 1):
+        raise InvalidConfigError(f"repeats must be an int >= 1, got {repeats!r}")
+    if not supports:
+        raise InvalidConfigError("need at least one support level")
+
+
 def run_bench(
     db: SequenceDatabase,
     supports: SequenceABC[int | float],
@@ -70,10 +79,7 @@ def run_bench(
     pattern or support, or, where both sets carry them, in the sequences
     found holding any pattern.
     """
-    if not _is_count(repeats, 1):
-        raise InvalidConfigError(f"repeats must be an int >= 1, got {repeats!r}")
-    if not supports:
-        raise InvalidConfigError("need at least one support level")
+    _check_bench_settings(supports, repeats)
     n, avg, alphabet = dataset_stats(db)
     results: list[BenchResult] = []
     for support in supports:
@@ -131,25 +137,9 @@ def write_bench_csv(results: Iterable[BenchResult], fp: IO[str]) -> None:
 def format_table(results: SequenceABC[BenchResult]) -> str:
     """Aligned text table of the results."""
     headers = ["miner", "support", "min_count", "time_s", "rss_kb", "patterns"]
-    rows = [
-        [
-            r.miner,
-            str(r.min_support),
-            str(r.min_count),
-            f"{r.wall_time_s:.3f}",
-            str(r.peak_rss_kb),
-            str(r.pattern_count),
-        ]
-        for r in results
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines.extend(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        for row in rows
-    )
-    return "\n".join(lines)
+    rows = [[r.miner, str(r.min_support), str(r.min_count), f"{r.wall_time_s:.3f}",
+             str(r.peak_rss_kb), str(r.pattern_count)] for r in results]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                     for line in lines)

@@ -3,7 +3,8 @@
 Subcommands: ``mine`` (check-ins file -> pattern and report CSVs),
 ``generate`` (deterministic synthetic check-ins), ``bench`` (both miners
 across support levels).  Exit codes: 0 success, 2 configuration or usage
-error, 4 miner disagreement in bench, 3 input error or any other library
+error (before ``mine`` reads input or ``bench`` generates data), 4 miner
+disagreement in bench, 3 input error, out of memory or any other library
 error (such as a sequence too long for the bitmap miner), always reported as
 one ``error:`` line on stderr.
 """
@@ -15,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import MINERS, format_table, run_bench, write_bench_csv
+from .bench import MINERS, _check_bench_settings, format_table, run_bench, write_bench_csv
 from .checkins import (
     DEFAULT_WINDOWS,
     _collector_paused,
@@ -87,7 +88,6 @@ def _load_analysis_config(args) -> tuple:
 
 
 def cmd_mine(args) -> int:
-    # every settings error exits 2 before any input is read
     amap, windows = _load_analysis_config(args)
     tz = resolve_timezone(args.tz)
     cfg = MinerConfig(min_support=args.min_support, max_length=args.max_length)
@@ -167,6 +167,7 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _generator_config(args)
+    _check_bench_settings(args.supports, args.repeats)
     checkins = generate_synthetic(cfg, args.seed)
     amap, _ = default_config()
     result = run_pipeline(checkins, amap, grouping="trip")
@@ -259,6 +260,10 @@ def main(argv=None) -> int:
         if isinstance(exc, InvalidConfigError):
             return EXIT_CONFIG
         return EXIT_MISMATCH if isinstance(exc, MinerMismatchError) else EXIT_INPUT
+    except MemoryError:
+        pass  # its traceback holds the work's frames: report once they are freed
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

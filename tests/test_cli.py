@@ -1,11 +1,13 @@
 import csv
 import io
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from seqmine import MinerMismatchError, mine
+from seqmine import MinerMismatchError, cli, mine
 from seqmine.bench import MINERS
 from seqmine.cli import main
 from seqmine.prefixspan import PatternSet
@@ -370,6 +372,33 @@ class TestMine:
         assert "Traceback" not in err
 
 
+class TestOutOfMemory:
+    def test_one_line_after_the_work_is_freed(self, corpus_csv, tmp_path, monkeypatch):
+        # The traceback holds the miner's frames, and with them its memory:
+        # a message printed while it lives may itself run out of memory.
+        log = []
+
+        class Held:
+            pass
+
+        def exhausted(db, cfg):
+            held = Held()
+            weakref.finalize(held, log.append, "freed")
+            raise MemoryError
+
+        class Log(io.TextIOBase):
+            def write(self, text):
+                log.append(text)
+                return len(text)
+
+        monkeypatch.setitem(MINERS, "prefixspan", exhausted)
+        monkeypatch.setattr(sys, "stderr", Log())
+        code = main(["mine", "--input", str(corpus_csv), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert log[0] == "freed"
+        assert "".join(log[1:]).splitlines() == ["error: out of memory"]
+
+
 class TestBench:
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -405,6 +434,14 @@ class TestBench:
 
     def test_empty_supports_is_usage_error(self, capsys):
         assert main(["bench", "--supports", ","]) == 2
+
+    def test_settings_checked_before_data_is_generated(self, capsys, monkeypatch):
+        def refused(cfg, seed):
+            raise AssertionError("bench generated data for a refused setting")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refused)
+        assert main(["bench", "--repeats", "0"]) == 2
+        assert capsys.readouterr().err == "error: repeats must be an int >= 1, got 0\n"
 
 
 class TestParser:

@@ -21,6 +21,8 @@ from seqmine import (
     projection_table,
     suffix,
 )
+from seqmine import prefixspan, spam
+from seqmine.bench import MINERS
 from seqmine.prefixspan import Extension, I_EXTENSION, S_EXTENSION, _grow, _scan
 
 import oracle
@@ -513,3 +515,38 @@ class TestLongPatterns:
             _grow(db, MinerConfig(min_support=1, max_length=5), roots,
                   lambda elements, state: more, lambda state: array("i", [0]))
         assert excinfo.type is RuntimeError
+
+
+class TestSearchInvariant:
+    """Every node either miner hands the search is consistent with itself."""
+
+    @pytest.mark.parametrize("miner", ["prefixspan", "spam"])
+    @given(seed=st.integers(0, 10_000), min_count=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_holders_and_supports_agree(self, miner, seed, min_count):
+        db = as_database(oracle.random_db(random.Random(seed)))
+        checked = []
+
+        def check(exts, holders, parent_holders):
+            # strictly increasing holders, as many as the support, and no
+            # more than the parent's (a root's parent, the empty pattern, is
+            # held by every sequence)
+            for _, _, support, state in exts:
+                held = list(holders(state))
+                assert all(a < b for a, b in zip(held, held[1:])), held
+                assert len(held) == support <= parent_holders
+                checked.append(held)
+            return exts
+
+        def checked_grow(db, cfg, roots, expand, holders):
+            return _grow(db, cfg, check(roots, holders, len(db)),
+                         lambda elements, state: check(expand(elements, state), holders,
+                                                       len(holders(state))),
+                         holders)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # spam imports _grow by name, so each module's binding is swapped
+            mp.setattr(prefixspan, "_grow", checked_grow)
+            mp.setattr(spam, "_grow", checked_grow)
+            got = MINERS[miner](db, MinerConfig(min_support=min_count, max_length=5))
+        assert len(checked) == len(got)

@@ -267,6 +267,16 @@ class TestIndexedReport:
         with pytest.raises(UndefinedConfidenceError):
             build_report(ps, db, n_activities=None)
 
+    def test_antecedent_held_at_support_zero_is_undefined(self):
+        # The set holds the antecedent, so its count of 0 is the denominator.
+        db = as_database([((0,), (1,))], alphabet=2)
+        ps = PatternSet((
+            Pattern(Sequence(((0,),)), 0),
+            Pattern(Sequence(((0,), (1,))), 1),
+        ), len(db), db.dictionary)
+        with pytest.raises(UndefinedConfidenceError, match="never occurs"):
+            build_report(ps, db, n_activities=None)
+
     def test_lone_pattern_confidence_counts_in_one_database(self):
         # Each 3-element pattern of 8 sequences, reported alone over the
         # first 2: the set lacks every antecedent, so both counts come from
