@@ -1,9 +1,9 @@
 """Check-in ingestion: parse, tag with activities, segment by time window,
 and assemble per-tourist sequence databases.
 
-The stages are deliberately separable: parsing yields validated records plus
-a reject report, activity tagging applies an ordered first-match-wins rule
-list (with a drop marker for categories excluded from analysis), window
+The stages are deliberately separable: parsing reads each line to a record
+or a reject in one loop, activity tagging applies an ordered first-match-wins
+rule list compiled once per map (a drop marker excludes a category), window
 segmentation buckets records by local time of day, and sequence building
 turns each (user, window) group into one time-ordered sequence whose
 check-ins at the same instant form a single element.  serialize_checkins
@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, make_dataclass
 from datetime import datetime, timedelta, timezone
-from fnmatch import fnmatchcase
+from fnmatch import translate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -149,20 +149,26 @@ def _validate_row(row: list, seen_ids: set[str], texts: dict[str, str]) -> Check
     return checkin
 
 
-def _csv_rows(fp: IO[str]) -> Iterator[tuple[int, list[str] | str]]:
-    """Each non-blank row's line number and its fields, or why it is rejected."""
+def _read_csv(fp: IO[str], checkins: list, rejects: list) -> None:
+    """Append each row's record to checkins, or its last line's number and why
+    it is rejected to rejects.  A row of only blank cells is skipped; the
+    validator rejects any such row of full width, so only a reject is checked."""
     reader = csv.reader(fp)
+    width, seen, texts = len(CSV_HEADER), set(), {}
+    accept, reject = checkins.append, rejects.append
     try:
-        header = next(reader)
-        if tuple(h.strip() for h in header) != CSV_HEADER:
+        if tuple(h.strip() for h in next(reader)) != CSV_HEADER:
             raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
         for row in reader:
-            if not row or not row[0].strip() and all(not c.strip() for c in row):
-                continue
-            if len(row) != len(CSV_HEADER):
-                yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+            if len(row) == width:
+                record = _validate_row(row, seen, texts)
+                if record.__class__ is not str:
+                    accept(record)
+                    continue
             else:
-                yield reader.line_num, row
+                record = f"expected {width} fields, got {len(row)}"
+            if any(c.strip() for c in row):
+                reject(RejectedRow(reader.line_num, record))
     except StopIteration:
         raise FormatError("empty input: missing CSV header")
     except csv.Error as exc:
@@ -175,12 +181,14 @@ _scan_json = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"
 
 
-def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
-    """Each non-blank line's number and its fields in CSV_HEADER order, or why
-    it is rejected; a missing or null field reads as empty.
+def _read_jsonl(fp: IO[str], checkins: list, rejects: list) -> None:
+    """Append each non-blank line's record to checkins, or its line number and
+    why it is rejected to rejects; a missing or null field reads as empty.
 
     A line is one JSON value with JSON whitespace around it, as json.loads
     reads it; a line of only whitespace of any kind is blank."""
+    seen, texts = set(), {}
+    accept, reject = checkins.append, rejects.append
     for line_no, line in enumerate(fp, start=1):
         text = line.strip(_JSON_SPACE)
         if not text:
@@ -190,25 +198,27 @@ def _jsonl_rows(fp: IO[str]) -> Iterator[tuple[int, list | str]]:
         except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(text):
-            if not text.isspace():
-                yield line_no, "invalid JSON"
-            continue
-        if not isinstance(obj, dict):
-            yield line_no, "expected a JSON object"
-            continue
-        row = list(map(obj.get, CSV_HEADER))
-        if None in row:
-            row = ["" if v is None else v for v in row]
-        # only a line with a "[" or a second "{" can hold a list or an object
-        if "[" in line or line.count("{") > 1:
-            nested = [k for k, v in zip(CSV_HEADER, row) if isinstance(v, (list, dict))]
-            if nested:
-                yield line_no, f"{nested[0]} is a JSON list or object"
+            if text.isspace():
                 continue
-        yield line_no, row
+            record = "invalid JSON"
+        elif not isinstance(obj, dict):
+            record = "expected a JSON object"
+        else:
+            row = list(map(obj.get, CSV_HEADER))
+            if None in row:
+                row = ["" if v is None else v for v in row]
+            # only a line with a "[" or a second "{" can hold a list or an object
+            nested = ("[" in line or line.count("{") > 1) and [
+                k for k, v in zip(CSV_HEADER, row) if isinstance(v, (list, dict))]
+            record = (f"{nested[0]} is a JSON list or object" if nested
+                      else _validate_row(row, seen, texts))
+            if record.__class__ is not str:
+                accept(record)
+                continue
+        reject(RejectedRow(line_no, record))
 
 
-_ROW_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
+_READERS = {"csv": _read_csv, "jsonl": _read_jsonl}
 
 
 @contextmanager
@@ -235,13 +245,13 @@ def parse_checkins(
 ) -> ParseResult:
     """Read check-ins from a CSV or JSONL file path or text stream.
 
-    Valid rows come back in file order; rows failing validation (bad
-    timestamp, out-of-range coordinates, missing fields, duplicate ids) are
-    collected with their line numbers instead of being silently dropped.
-    A file path may start with a UTF-8 byte-order mark.  An unusable CSV
-    header or a file that is not UTF-8 raises FormatError.
+    Each row is validated as it is read.  Valid rows come back in file order;
+    rows failing validation (bad timestamp, out-of-range coordinates, missing
+    fields, duplicate ids) are collected with their line numbers instead of
+    being silently dropped.  A file path may start with a UTF-8 byte-order
+    mark.  An unusable CSV header or a file that is not UTF-8 raises FormatError.
     """
-    if format not in _ROW_READERS:
+    if format not in _READERS:
         raise InvalidConfigError("format must be 'csv' or 'jsonl'")
     close = isinstance(source, (str, Path))
     fp = open(source, "r", encoding="utf-8", newline="") if close else source
@@ -250,15 +260,8 @@ def parse_checkins(
             fp.seek(0)
         checkins: list[CheckIn] = []
         rejects: list[RejectedRow] = []
-        seen: set[str] = set()
-        texts: dict[str, str] = {}
         with _collector_paused():
-            for line_no, raw in _ROW_READERS[format](fp):
-                row = raw if isinstance(raw, str) else _validate_row(raw, seen, texts)
-                if isinstance(row, str):
-                    rejects.append(RejectedRow(line_no, row))
-                else:
-                    checkins.append(row)
+            _READERS[format](fp, checkins, rejects)
         return ParseResult(tuple(checkins), tuple(rejects))
     except UnicodeDecodeError:
         raise FormatError("input is not UTF-8 text")
@@ -286,7 +289,7 @@ def serialize_checkins(
     it.  Any other value (None, a number of another type, NaN) goes through
     ``json.dumps``.
     """
-    if format not in _ROW_READERS:
+    if format not in _READERS:
         raise InvalidConfigError("format must be 'csv' or 'jsonl'")
     count = 0
     if format == "csv":
@@ -334,16 +337,33 @@ class ActivityRule:
 
 @dataclass(frozen=True)
 class ActivityMap:
-    """Ordered first-match-wins category classifier."""
+    """Ordered first-match-wins category classifier: fnmatchcase on casefolded
+    text, with the rules compiled once, when the map is built."""
 
     rules: tuple[ActivityRule, ...]
+    # casefolded literal -> index of its first rule; (index, compiled match) per glob
+    _compiled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        literals, globs = {}, []
+        for i, rule in enumerate(self.rules):
+            pattern = rule.pattern.casefold()
+            if "*" in pattern or "?" in pattern or "[" in pattern:
+                globs.append((i, re.compile(translate(pattern)).match))
+            else:
+                literals.setdefault(pattern, i)
+        object.__setattr__(self, "_compiled", (literals, tuple(globs)))
 
     def first_match(self, category: str) -> ActivityRule | None:
         folded = category.casefold()
-        for rule in self.rules:
-            if fnmatchcase(folded, rule.pattern.casefold()):
-                return rule
-        return None
+        literals, globs = self._compiled
+        first = literals.get(folded, len(self.rules))
+        for i, match in globs:
+            if i > first:
+                break
+            if match(folded):
+                return self.rules[i]
+        return self.rules[first] if first < len(self.rules) else None
 
     def match(self, category: str) -> str | None:
         """First matching rule's activity; None when dropped; default when unmatched."""
@@ -466,18 +486,18 @@ def segment_windows(
 
     A check-in's local time is its instant at tz's UTC offset at that
     instant.  A check-in joins every window containing its local time
-    (windows may overlap); one outside all windows joins no group.
-    Groups hold the input pairs themselves, not copies.
+    (windows may overlap; their bounds are read once per call); one outside
+    all windows joins no group.  Groups hold the input pairs, not copies.
     """
-    window_list = list(windows)
+    bounds = [(w.start_minute, w.end_minute, w.name) for w in windows]
     groups: Groups = {}
     for pair in tagged:
         c = pair[0]
         local = c.timestamp.astimezone(tz)
         minute = local.hour * 60 + local.minute
-        for w in window_list:
-            if w.contains(minute):
-                groups.setdefault((c.user_id, w.name), []).append(pair)
+        for start, end, name in bounds:
+            if start <= minute < end:
+                groups.setdefault((c.user_id, name), []).append(pair)
     return groups
 
 

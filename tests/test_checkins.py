@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from fnmatch import fnmatchcase
 from itertools import combinations
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -43,8 +44,6 @@ from seqmine.checkins import (
     CSV_HEADER,
     DEFAULT_WINDOWS,
     _Draft,
-    _csv_rows,
-    _jsonl_rows,
     group_by_user,
     resolve_timezone,
 )
@@ -514,6 +513,54 @@ class TestTextSharing:
         assert held / len(result) <= 400
 
 
+def _first_match_reference(amap, category):
+    """ActivityMap.first_match as it was before its rules were compiled: each
+    rule in turn through fnmatchcase."""
+    folded = category.casefold()
+    for rule in amap.rules:
+        if fnmatchcase(folded, rule.pattern.casefold()):
+            return rule
+    return None
+
+
+# Words whose case variants casefold alike or not: "ß" folds to "ss", "İ" to
+# "i" and a combining dot, and the Kelvin sign to "k".
+_RULE_WORDS = ("park", "Straße", "STRASSE", "İstanbul", "istanbul", "\u212aelvin", "kelvin",
+               "Asian Restaurant")
+_CASES = (str, str.upper, str.lower, str.casefold, str.swapcase)
+
+
+@st.composite
+def _rule_pattern(draw):
+    """A case variant of a word, as a literal or as a glob: "*" or "?" in
+    place of some letters, a "[...]" or "[!...]" class, or an unclosed "["."""
+    word = draw(st.sampled_from(_CASES))(draw(st.sampled_from(_RULE_WORDS)))
+    i = draw(st.integers(0, len(word) - 1))
+    j = draw(st.integers(i, len(word)))
+    return draw(st.sampled_from((
+        word,
+        word[:i] + "*" + word[j:],
+        "*" + word[i:j] + "*",
+        word[:i] + "?" + word[i + 1:],
+        word[:i] + "[" + word[i] + word[i].swapcase() + "]" + word[i + 1:],
+        word[:i] + "[!" + word[i] + "]" + word[i + 1:],
+        word[:i] + "[" + word[i:],
+        word + "[",
+    )))
+
+
+@st.composite
+def _activity_maps(draw):
+    """Up to 8 rules, literal and glob, then up to 3 repeating an earlier
+    rule's pattern with another target, all in any order; None drops."""
+    rules = draw(st.lists(st.builds(ActivityRule, _rule_pattern(),
+                                    st.sampled_from(("A", "B", None))), max_size=8))
+    if rules:
+        rules += draw(st.lists(st.builds(ActivityRule, st.sampled_from([r.pattern for r in rules]),
+                                         st.sampled_from(("C", None))), max_size=3))
+    return ActivityMap(tuple(draw(st.permutations(rules))))
+
+
 class TestActivityMap:
     MAP = ActivityMap((
         ActivityRule("*airport*", None),
@@ -546,6 +593,36 @@ class TestActivityMap:
         assert len(tagged) == 2
         assert tagged.dropped == 1
         assert tagged.unmatched == {"Bowling Alley": 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(amap=_activity_maps(), data=st.data())
+    @example(  # a glob ahead of a literal that both match
+        amap=ActivityMap((ActivityRule("*ark", "A"), ActivityRule("park", "B"))),
+        data=None,
+    )
+    def test_first_match_matches_fnmatchcase(self, amap, data):
+        # The same rule object as fnmatchcase over each rule in turn, for the
+        # patterns' own text and the words', in every case variant.
+        texts = [r.pattern for r in amap.rules] + list(_RULE_WORDS)
+        categories = [case(text) for text in texts for case in _CASES]
+        if data is not None:
+            categories += data.draw(st.lists(st.sampled_from(texts).flatmap(
+                lambda t: st.sampled_from(_CASES).map(lambda case: case(t)))))
+        for category in categories:
+            assert amap.first_match(category) is _first_match_reference(amap, category)
+        # the compiled rules are not part of the map's value
+        rebuilt = ActivityMap(amap.rules)
+        copies = (pickle.loads(pickle.dumps(amap)), copy.deepcopy(amap),
+                  dataclasses.replace(amap), rebuilt)
+        for other in copies:
+            assert other == amap and hash(other) == hash(amap)
+            assert repr(other) == repr(amap) == f"ActivityMap(rules={amap.rules!r})"
+            for category in categories:
+                assert other.first_match(category) == _first_match_reference(amap, category)
+        reversed_map = dataclasses.replace(amap, rules=amap.rules[::-1])
+        for category in categories:
+            assert (reversed_map.first_match(category)
+                    is _first_match_reference(reversed_map, category))
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(
@@ -948,6 +1025,27 @@ _ANCHORS = (
 )
 
 
+def _csv_rows_reference(fp):
+    """The CSV reader as it was before it called the validator itself: each
+    non-blank row's line number and its fields, or why it is rejected."""
+    reader = csv.reader(fp)
+    try:
+        header = next(reader)
+        if tuple(h.strip() for h in header) != CSV_HEADER:
+            raise FormatError(f"bad CSV header: expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            if not row or not row[0].strip() and all(not c.strip() for c in row):
+                continue
+            if len(row) != len(CSV_HEADER):
+                yield reader.line_num, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
+            else:
+                yield reader.line_num, row
+    except StopIteration:
+        raise FormatError("empty input: missing CSV header")
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}")
+
+
 def _jsonl_rows_reference(fp):
     """The JSONL reader as it was before it called the JSON scanner itself:
     json.loads on the whole line."""
@@ -1037,7 +1135,7 @@ def _validate_row_reference(row: list, seen_ids: set[str], texts: dict[str, str]
 def _parse_checkins_reference(text, format):
     """parse_checkins on text through the reference reader and validator:
     the records and the (line_no, reason) list."""
-    reader = _csv_rows if format == "csv" else _jsonl_rows_reference
+    reader = _csv_rows_reference if format == "csv" else _jsonl_rows_reference
     seen, texts, checkins, rejects = set(), {}, [], []
     for line_no, raw in reader(io.StringIO(text, newline="")):
         row = raw if isinstance(raw, str) else _validate_row_reference(raw, seen, texts)
@@ -1143,6 +1241,23 @@ def _jsonl_line(draw):
     return draw(_padding) + body + draw(_padding) + tail
 
 
+_CSV_ROW = "{id},u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,"
+
+# One CSV row, or a line or two, with no line end after it: a valid row,
+# blank rows of any width, a blank first cell with other cells set, short
+# and long rows, and quoted fields holding line ends.  The ids repeat.
+_csv_piece = st.one_of(
+    st.sampled_from(("c1", "c2", "c3")).map(lambda cid: _CSV_ROW.format(id=cid)),
+    st.sampled_from((
+        "", " ", "\t", ",", " , ", ",,,,,,,,", " ,\t,,,,,,, ", ",,,,,,,,,,",
+        ",u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,", " ,,,,,,,,x", ",,x",
+        "c1", "c1,u1,2023-05-01T08:00:00Z", _CSV_ROW.format(id="c4") + ",extra",
+        'c5,u1,2023-05-01T08:00:00Z,1.3,103.8,"Park\nside",,,',
+        'c6,u1,2023-05-01T08:00:00Z,1.3,103.8,Park,"a\r\nb\rc",,',
+        '"\n",,,,,,,,', '" \r\n "', '"c7\n",u1',
+    )),
+)
+
 # Text as parse_checkins gives it: stripped and printable, so with no
 # surrogates and no whitespace but the space.
 _text = st.text(
@@ -1190,16 +1305,41 @@ class TestIngestProperties:
         ends=["\n"] * 6, last_end=True,
     )
     def test_jsonl_reader_matches_json_loads(self, lines, ends, last_end):
-        # Same (line_no, row or reason) list as json.loads line by line;
-        # rows compare by repr, so NaN equals NaN and 1 differs from 1.0.
+        # Same records and (line_no, reason) list as json.loads line by line
+        # through the reference validator; records compare by repr, so NaN
+        # equals NaN and 1 differs from 1.0.
         text = "".join(line + end for line, end in zip(lines, ends))
         if lines and not last_end:
             text = text.rstrip("\r\n")
+        result = parse_checkins(io.StringIO(text, newline=""), "jsonl")
+        checkins, rejects = _parse_checkins_reference(text, "jsonl")
+        assert list(map(repr, result.checkins)) == list(map(repr, checkins))
+        assert [(r.line_no, r.reason) for r in result.rejects] == rejects
 
-        def read(reader):
-            return [repr(item) for item in reader(io.StringIO(text, newline=""))]
-
-        assert read(_jsonl_rows) == read(_jsonl_rows_reference)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(_csv_piece, max_size=8),
+        ends=st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=9, max_size=9),
+        last_end=st.booleans(),
+    )
+    @example(  # a blank first cell, blank rows of every width, and a quoted
+        # line end inside a kept row and inside a blank one
+        rows=[",u1,2023-05-01T08:00:00Z,1.3,103.8,Park,,,", " ,,,,,,,,", " ", "",
+              'c1,u1,2023-05-01T08:00:00Z,1.3,103.8,"Park\r\nside",,,', '" \n",,,,,,,,',
+              "c2,u1", _CSV_ROW.format(id="c3") + ",x"],
+        ends=["\r", "\n", "\r\n", "\r", "\n", "\r\n", "\n", "\n", "\n"], last_end=True,
+    )
+    def test_csv_reader_matches_reference(self, rows, ends, last_end):
+        # Same records and (line_no, reason) list as the reference reader,
+        # which skips a blank row before it counts the row's fields and gives
+        # the line number of a row's last line.
+        text = HEADER + ends[-1] + "".join(row + end for row, end in zip(rows, ends))
+        if rows and not last_end:
+            text = text.rstrip("\r\n")
+        result = parse_checkins(io.StringIO(text, newline=""), "csv")
+        checkins, rejects = _parse_checkins_reference(text, "csv")
+        assert list(map(repr, result.checkins)) == list(map(repr, checkins))
+        assert [(r.line_no, r.reason) for r in result.rejects] == rejects
 
     @settings(max_examples=300, deadline=None)
     @given(
