@@ -9,7 +9,6 @@ refuses a bad setting before it generates the database.
 
 from __future__ import annotations
 
-import csv
 import resource
 import statistics
 import sys
@@ -17,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import IO, Callable, Iterable, Sequence as SequenceABC
 
-from .core import SequenceDatabase, _is_count
+from .core import SequenceDatabase, _csv_line, _is_count
 from .errors import InvalidConfigError, MinerMismatchError
 from .prefixspan import MinerConfig, PatternSet, mine
 from .spam import mine_spam
@@ -126,12 +125,12 @@ def run_bench(
 
 
 def write_bench_csv(results: Iterable[BenchResult], fp: IO[str]) -> None:
-    """One column per BenchResult field; mean length and time to 4 places."""
-    writer = csv.DictWriter(fp, [f.name for f in fields(BenchResult)])
-    writer.writeheader()
+    """One ``core._csv_line`` per result, the csv module's bytes: one column
+    per BenchResult field, mean length and time to 4 places."""
+    fp.write(_csv_line([f.name for f in fields(BenchResult)]))
     for r in results:
-        writer.writerow({**asdict(r), "avg_elements": f"{r.avg_elements:.4f}",
-                         "wall_time_s": f"{r.wall_time_s:.4f}"})
+        fp.write(_csv_line({**asdict(r), "avg_elements": f"{r.avg_elements:.4f}",
+                            "wall_time_s": f"{r.wall_time_s:.4f}"}.values()))
 
 
 def format_table(results: SequenceABC[BenchResult]) -> str:

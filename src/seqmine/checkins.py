@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import ItemDictionary, Sequence, SequenceDatabase
+from .core import ItemDictionary, Sequence, SequenceDatabase, _csv_line
 from .errors import FormatError, InvalidConfigError
 
 #: Label applied to categories no rule matches.
@@ -287,23 +287,20 @@ def serialize_checkins(
     ``json.dumps`` itself calls for it, and a rounded coordinate that is a
     finite float is its ``repr``, which is what ``json.dumps`` writes for
     it.  Any other value (None, a number of another type, NaN) goes through
-    ``json.dumps``.
+    ``json.dumps``.  A CSV line is ``core._csv_line``'s: the bytes of the csv
+    module's writer on Python 3.11-3.13, NUL included.
     """
     if format not in _READERS:
         raise InvalidConfigError("format must be 'csv' or 'jsonl'")
-    count = 0
+    count, utc, write = 0, timezone.utc, fp.write
     if format == "csv":
-        writer = csv.writer(fp)
-        writer.writerow(CSV_HEADER)
+        write(_csv_line(CSV_HEADER))
         for count, c in enumerate(checkins, 1):
-            # CSV writes coordinates as 6-decimal text and None as ""
-            coords = (f"{c.lat:.6f}", f"{c.lon:.6f}")
-            ts = c.timestamp.astimezone(timezone.utc).isoformat()
-            writer.writerow([c.checkin_id, c.user_id, ts, *coords,
-                             c.category, c.subcategory, c.gender, c.origin])
+            write(_csv_line((c.checkin_id, c.user_id, c.timestamp.astimezone(utc).isoformat(),
+                             f"{c.lat:.6f}", f"{c.lon:.6f}", c.category, c.subcategory,
+                             c.gender, c.origin)))
         return count
-    dumps, encode, line, write = json.dumps, encode_basestring_ascii, _JSONL_LINE, fp.write
-    utc = timezone.utc
+    dumps, encode, line = json.dumps, encode_basestring_ascii, _JSONL_LINE
     for count, c in enumerate(checkins, 1):
         cid, user, category, sub, gender, origin = (
             c.checkin_id, c.user_id, c.category, c.subcategory, c.gender, c.origin)

@@ -14,6 +14,7 @@ singleton elements bare when the alphabet is single-character, and a leading
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence as SequenceABC
 
@@ -25,6 +26,27 @@ Element = tuple[int, ...]
 
 def _is_count(value, least: int) -> bool:  # the one check of every count setting
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _csv_line(fields: SequenceABC) -> str:
+    """The csv module writer's line for a row of two or more fields, NUL as is
+    (as on Python 3.11-3.13), None as "" and other non-str values as str().
+    It joins once and tests the line once; a quote, a line break or an extra
+    comma makes it quote the fields that need it."""
+    try:
+        line = ",".join(fields)
+    except TypeError:
+        fields = ["" if f is None else f if isinstance(f, str) else str(f) for f in fields]
+        line = ",".join(fields)
+    if '"' in line or "\r" in line or "\n" in line or line.count(",") != len(fields) - 1:
+        line = ",".join(['"' + f.replace('"', '""') + '"'
+                         if '"' in f or "," in f or "\r" in f or "\n" in f else f for f in fields])
+    return line + "\r\n"
+
+
+def _json_number(x) -> str:
+    """``json.dumps(x)``, where an int or a finite float is its repr."""
+    return repr(x) if type(x) is int or type(x) is float and x - x == 0.0 else json.dumps(x)
 
 
 class Item(NamedTuple):

@@ -18,7 +18,6 @@ the report counts occurrences only where the search already found them.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import weakref
@@ -34,8 +33,10 @@ from .core import (
     Sequence,
     SequenceDatabase,
     Suffix,
+    _csv_line,
     _is_count,
     _is_subset,
+    _json_number,
     render_elements,
 )
 from .errors import InvalidConfigError
@@ -147,27 +148,24 @@ class PatternSet:
         return {p.sequence.elements: p.support_count for p in self.patterns}
 
     def to_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp)
-        writer.writerow(["pattern", "support_count", "relative_support"])
+        """One ``core._csv_line`` per pattern: the csv module's bytes, NUL included."""
+        fp.write(_csv_line(("pattern", "support_count", "relative_support")))
         texts: dict[Element, str] = {}  # patterns share most of their elements
         for p in self.patterns:
-            writer.writerow(
-                [render_elements(p.sequence.elements, self.dictionary, texts=texts),
-                 p.support_count, f"{self.relative_support(p):.6f}"]
-            )
+            fp.write(_csv_line((render_elements(p.sequence.elements, self.dictionary, texts=texts),
+                                str(p.support_count), f"{self.relative_support(p):.6f}")))
 
     def to_jsonl(self, fp: IO[str]) -> None:
-        labels: dict[Element, list[str]] = {}
+        """Per pattern, the line json.dumps writes for its record, from a template."""
+        line = '{"pattern": [%s], "support_count": %s, "relative_support": %s}\n'
+        texts: dict[Element, str] = {}  # each distinct element's label list, dumped once
         for p in self.patterns:
             for elem in p.sequence.elements:
-                if elem not in labels:
-                    labels[elem] = [self.dictionary.decode(i) for i in elem]
-            record = {
-                "pattern": [labels[elem] for elem in p.sequence.elements],
-                "support_count": p.support_count,
-                "relative_support": self.relative_support(p),
-            }
-            fp.write(json.dumps(record) + "\n")
+                if elem not in texts:
+                    texts[elem] = json.dumps([self.dictionary.decode(i) for i in elem])
+            fp.write(line % (", ".join([texts[e] for e in p.sequence.elements]),
+                             _json_number(p.support_count),
+                             _json_number(self.relative_support(p))))
 
 
 @dataclass(frozen=True)

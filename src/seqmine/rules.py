@@ -19,12 +19,12 @@ sequence, as ``pattern_frequency`` does for one pattern.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .core import Sequence, SequenceDatabase, _is_count, _match, contains_subsequence
+from .core import (Sequence, SequenceDatabase, _csv_line, _is_count, _json_number, _match,
+                   contains_subsequence)
 from .errors import InvalidConfigError, UndefinedConfidenceError
 from .prefixspan import Pattern, PatternSet
 
@@ -172,24 +172,16 @@ def build_report(
 
 
 def write_report_csv(rows: Iterable[RuleRow], fp: IO[str]) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["activity_sequence", "frequency", "support", "confidence"])
+    """One ``core._csv_line`` per row: the csv module's bytes, NUL included."""
+    fp.write(_csv_line(("activity_sequence", "frequency", "support", "confidence")))
     for r in rows:
-        writer.writerow(
-            [r.activity_sequence, r.frequency, f"{r.support:.6f}", f"{r.confidence:.6f}"]
-        )
+        fp.write(_csv_line((r.activity_sequence, str(r.frequency),
+                            f"{r.support:.6f}", f"{r.confidence:.6f}")))
 
 
 def write_report_jsonl(rows: Iterable[RuleRow], fp: IO[str]) -> None:
+    """Per row, the line json.dumps writes for its four fields, from a template."""
+    line = '{"activity_sequence": %s, "frequency": %s, "support": %s, "confidence": %s}\n'
     for r in rows:
-        fp.write(
-            json.dumps(
-                {
-                    "activity_sequence": r.activity_sequence,
-                    "frequency": r.frequency,
-                    "support": r.support,
-                    "confidence": r.confidence,
-                }
-            )
-            + "\n"
-        )
+        fp.write(line % (json.dumps(r.activity_sequence), _json_number(r.frequency),
+                         _json_number(r.support), _json_number(r.confidence)))

@@ -89,8 +89,11 @@ def test_criterion_2_oracle_equivalence():
     for seed in range(200):
         raw = oracle.random_db(random.Random(seed))
         db = as_database(raw)
+        # every candidate occurs at least once, so min_count 1 gives every
+        # support and a higher threshold filters them
+        supports = oracle.mine_exhaustive(raw, 1)
         for min_count in (1, 2, 3):
-            expected = oracle.mine_exhaustive(raw, min_count)
+            expected = {p: c for p, c in supports.items() if c >= min_count}
             got = mine(db, MinerConfig(min_support=min_count)).as_dict()
             assert got == expected, f"seed {seed} min_count {min_count}"
             n_compared += len(expected)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import sys
 import tracemalloc
@@ -20,6 +21,9 @@ def corpus_csv(tmp_path):
     assert main(["generate", "--users", "80", "--seed", "11",
                  "--out", str(path)]) == 0
     return path
+
+
+OUTPUTS = ("patterns.csv", "patterns.jsonl", "report.csv", "report.jsonl")
 
 
 def read_csv(path):
@@ -124,6 +128,35 @@ class TestMine:
         assert len(report) > 1
         stdout = capsys.readouterr().out
         assert "patterns=" in stdout and "sequences=" in stdout
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # The same run as the CI console-script step's `out`; any change to
+        # what the four files hold changes these.
+        source, out = tmp_path / "c.csv", tmp_path / "out"
+        assert main(["generate", "--users", "200", "--seed", "7", "--out", str(source)]) == 0
+        assert main(["mine", "--input", str(source), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in OUTPUTS}
+        assert digests == {
+            "patterns.csv": "d636a20d25e2661e5e3f46c4c24e3ebd35f65f97765f7df6fde420bf982f0a00",
+            "patterns.jsonl": "b935ab5512e0c99448ea1ad24b41946c8a7fc606f83d7f1c1947bca073097397",
+            "report.csv": "6ac5073f65d2558c04d73b0daf57ea6883f1cebe901dba284c440f086c68fd90",
+            "report.jsonl": "d00689c14e9768b42d527935eaffb5aad61af46383b17b7d5589d35ba1c9e7a9",
+        }
+
+    def test_nul_in_an_activity_label(self, corpus_csv, tmp_path, capsys):
+        # parse_config accepts the label; every writer must take it, on
+        # every Python (3.10's csv.writer refused a field holding NUL)
+        amap, out = tmp_path / "map.cfg", tmp_path / "out"
+        amap.write_text("* = Do\x00it\n", encoding="utf-8")
+        assert main(["mine", "--input", str(corpus_csv), "--activity-map", str(amap),
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        text = {name: (out / name).read_text(encoding="utf-8") for name in OUTPUTS}
+        assert text["patterns.csv"].splitlines()[1].startswith("(Do\x00it),")
+        assert text["report.csv"].splitlines()[1].startswith("Do\x00it > Do\x00it > Do\x00it,")
+        assert text["patterns.jsonl"].startswith('{"pattern": [["Do\\u0000it"]], ')
+        assert text["report.jsonl"].startswith('{"activity_sequence": "Do\\u0000it > ')
 
     def test_miners_agree_via_cli(self, corpus_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,8 @@
+import csv
+import io
 import random
+import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqmine import (
     EMPTY_SUFFIX,
+    CheckIn,
     EmptyElementError,
     ItemDictionary,
     Sequence,
@@ -17,8 +22,11 @@ from seqmine import (
     contains_subsequence,
     is_prefix,
     render_elements,
+    serialize_checkins,
     suffix,
 )
+from seqmine.checkins import CSV_HEADER
+from seqmine.core import _csv_line
 from conftest import long_sequences, short_patterns
 from oracle import contains as oracle_contains
 from oracle import random_db
@@ -239,3 +247,66 @@ class TestSequenceDatabase:
 
     def test_item_count(self, letters_db):
         assert letters_db.sequences[0].item_count == 9
+
+
+# Text over every character the CSV quoting rule looks at, and a few
+# line-breaking or unusual ones it must leave alone.
+csv_text = st.text(alphabet=[",", '"', "\r", "\n", "\x00", "\x0b", "\x1c", "\u2028",
+                             " ", "\t", "é", "a"])
+OFFSETS = st.sampled_from([timezone.utc, timezone(timedelta(hours=8)),
+                           timezone(timedelta(hours=-5, minutes=-30))])
+csv_fields = st.one_of(csv_text, st.none(), st.integers(), st.floats(), st.booleans())
+
+
+def csv_writer_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
+def checkins_csv_reference(checkins):
+    """serialize_checkins' CSV body as it was when csv.writer wrote it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for c in checkins:
+        coords = (f"{c.lat:.6f}", f"{c.lon:.6f}")
+        ts = c.timestamp.astimezone(timezone.utc).isoformat()
+        writer.writerow([c.checkin_id, c.user_id, ts, *coords,
+                         c.category, c.subcategory, c.gender, c.origin])
+    return buf.getvalue()
+
+
+class TestCsvLine:
+    def test_nul_is_written_as_is(self):
+        # Python 3.10's csv.writer raises here; 3.11-3.13 write these bytes
+        assert _csv_line(["a\x00b", "c"]) == "a\x00b,c\r\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(csv_fields, min_size=2, max_size=9))
+    def test_matches_csv_writer(self, fields):
+        try:
+            expected = csv_writer_line(fields)
+        except csv.Error:  # only 3.10's writer, on a field holding NUL
+            assert sys.version_info < (3, 11)
+            return
+        assert _csv_line(fields) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        CheckIn,
+        checkin_id=csv_text, user_id=csv_text,
+        timestamp=st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1), timezones=OFFSETS),
+        lat=st.floats(-90, 90), lon=st.floats(-180, 180),
+        category=csv_text, subcategory=csv_text,
+        gender=st.none() | csv_text, origin=st.none() | csv_text,
+    ), max_size=5))
+    def test_checkins_match_csv_writer(self, checkins):
+        try:
+            expected = checkins_csv_reference(checkins)
+        except csv.Error:
+            assert sys.version_info < (3, 11)
+            return
+        buf = io.StringIO()
+        assert serialize_checkins(checkins, buf, "csv") == len(checkins)
+        assert buf.getvalue() == expected

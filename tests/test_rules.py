@@ -1,4 +1,5 @@
 import copy
+import csv
 import io
 import json
 import pickle
@@ -23,9 +24,9 @@ from seqmine import (
     write_report_jsonl,
 )
 from seqmine.checkins import default_config, run_pipeline
-from seqmine.core import Sequence, canonicalize, contains_subsequence
+from seqmine.core import ItemDictionary, Sequence, canonicalize, contains_subsequence
 from seqmine.prefixspan import Pattern, PatternSet
-from seqmine.rules import VALID_SORT_KEYS, count_minimal_occurrences
+from seqmine.rules import VALID_SORT_KEYS, RuleRow, count_minimal_occurrences
 from seqmine.synth import bms_shape, generate_synthetic
 
 import oracle
@@ -427,7 +428,63 @@ class TestMinedHolders:
             assert a.getvalue() == b.getvalue()
 
 
+# Labels json.dumps escapes (a quote, a backslash, control characters, a
+# line separator, non-ASCII text) or the CSV writer quotes (a comma).
+ESCAPED_LABELS = ('say "hi"', "back\\slash", "tab\tesc\x1b\x01", "line\u2028sep",
+                  "café", "東京", "a,b")
+# (support count, sequence count): relative supports 1.0, 0.0, 1e-07 and 1/3
+SUPPORTS = [(3, 3), (0, 3), (1, 10**7), (1, 3)]
+
+
+def csv_module_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 class TestReportSerialization:
+    @pytest.mark.parametrize("count, n", SUPPORTS)
+    def test_pattern_writers_match_json_dumps_and_the_csv_module(self, count, n):
+        d = ItemDictionary.from_labels(ESCAPED_LABELS)
+        raws = [[["café"]], [['say "hi"', "a,b"], ["東京"]],
+                [["line\u2028sep"], ["back\\slash", "tab\tesc\x1b\x01"], ["line\u2028sep"]]]
+        ps = PatternSet(tuple(Pattern(canonicalize(r, d), count) for r in raws), n, d)
+        jl, cs = io.StringIO(), io.StringIO()
+        ps.to_jsonl(jl)
+        ps.to_csv(cs)
+        assert jl.getvalue() == "".join(json.dumps({
+            "pattern": [[d.decode(i) for i in e] for e in p.sequence.elements],
+            "support_count": p.support_count,
+            "relative_support": ps.relative_support(p),
+        }) + "\n" for p in ps)
+        assert cs.getvalue() == csv_module_text(
+            [["pattern", "support_count", "relative_support"]]
+            + [[p.render(d), p.support_count, f"{ps.relative_support(p):.6f}"] for p in ps])
+
+    @pytest.mark.parametrize("count, n", SUPPORTS)
+    def test_report_writers_match_json_dumps_and_the_csv_module(self, count, n):
+        d = ItemDictionary.from_labels(ESCAPED_LABELS)
+        p = Pattern(canonicalize([["café"]], d), count)
+        rows = [RuleRow(p, " > ".join(labels), freq, count / n, conf)
+                for labels, freq, conf in [(ESCAPED_LABELS[:3], 7, count / n),
+                                           (ESCAPED_LABELS[3:], 0, 1 / 3),
+                                           (ESCAPED_LABELS[::2], 10**12, 1.0),
+                                           (ESCAPED_LABELS[1::2], 2, float("nan")),
+                                           (ESCAPED_LABELS[:1], 1, float("-inf"))]]
+        jl, cs = io.StringIO(), io.StringIO()
+        write_report_jsonl(rows, jl)
+        write_report_csv(rows, cs)
+        assert jl.getvalue() == "".join(json.dumps({
+            "activity_sequence": r.activity_sequence,
+            "frequency": r.frequency,
+            "support": r.support,
+            "confidence": r.confidence,
+        }) + "\n" for r in rows)
+        assert cs.getvalue() == csv_module_text(
+            [["activity_sequence", "frequency", "support", "confidence"]]
+            + [[r.activity_sequence, r.frequency, f"{r.support:.6f}", f"{r.confidence:.6f}"]
+               for r in rows])
+
     def test_csv_layout(self, digits_db):
         ps = mine(digits_db, MinerConfig(min_support=3, max_length=3))
         buf = io.StringIO()
