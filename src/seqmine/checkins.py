@@ -21,11 +21,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, make_dataclass
 from datetime import datetime, timedelta, timezone
 from fnmatch import translate
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .core import ItemDictionary, Sequence, SequenceDatabase, _csv_line
+from .core import ItemDictionary, Sequence, SequenceDatabase, _csv_line, _json_value
 from .errors import FormatError, InvalidConfigError
 
 #: Label applied to categories no rule matches.
@@ -272,7 +271,7 @@ def parse_checkins(
 
 # One JSONL line: json.dumps(dict(zip(CSV_HEADER, row))) with each value's
 # JSON text filled in.
-_JSONL_LINE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in CSV_HEADER) + "}\n"
+_JSONL_LINE = "{" + ", ".join(f"{_json_value(key)}: %s" for key in CSV_HEADER) + "}\n"
 
 
 def serialize_checkins(
@@ -282,13 +281,10 @@ def serialize_checkins(
     return how many were written.  checkins may be any iterable, read once.
 
     A JSONL line is the bytes ``json.dumps`` gives for the row as a dict in
-    CSV_HEADER order, filled into one template without building the dict: a
-    str value goes through ``encode_basestring_ascii``, the encoder
-    ``json.dumps`` itself calls for it, and a rounded coordinate that is a
-    finite float is its ``repr``, which is what ``json.dumps`` writes for
-    it.  Any other value (None, a number of another type, NaN) goes through
-    ``json.dumps``.  A CSV line is ``core._csv_line``'s: the bytes of the csv
-    module's writer on Python 3.11-3.13, NUL included.
+    CSV_HEADER order: one template filled with ``core._json_value`` of each
+    value, coordinates rounded to 6 places.  A CSV line is
+    ``core._csv_line``'s: the bytes of the csv module's writer on Python
+    3.11-3.13, NUL included.
     """
     if format not in _READERS:
         raise InvalidConfigError("format must be 'csv' or 'jsonl'")
@@ -300,23 +296,12 @@ def serialize_checkins(
                              f"{c.lat:.6f}", f"{c.lon:.6f}", c.category, c.subcategory,
                              c.gender, c.origin)))
         return count
-    dumps, encode, line = json.dumps, encode_basestring_ascii, _JSONL_LINE
+    value, line = _json_value, _JSONL_LINE
     for count, c in enumerate(checkins, 1):
-        cid, user, category, sub, gender, origin = (
-            c.checkin_id, c.user_id, c.category, c.subcategory, c.gender, c.origin)
-        # coordinates as numbers rounded to 6 places, None as null
-        lat, lon = round(c.lat, 6), round(c.lon, 6)
-        write(line % (
-            encode(cid) if cid.__class__ is str else dumps(cid),
-            encode(user) if user.__class__ is str else dumps(user),
-            encode(c.timestamp.astimezone(utc).isoformat()),
-            repr(lat) if lat.__class__ is float and lat - lat == 0.0 else dumps(lat),
-            repr(lon) if lon.__class__ is float and lon - lon == 0.0 else dumps(lon),
-            encode(category) if category.__class__ is str else dumps(category),
-            encode(sub) if sub.__class__ is str else dumps(sub),
-            encode(gender) if gender.__class__ is str else dumps(gender),
-            encode(origin) if origin.__class__ is str else dumps(origin),
-        ))
+        write(line % (value(c.checkin_id), value(c.user_id),
+                      value(c.timestamp.astimezone(utc).isoformat()),
+                      value(round(c.lat, 6)), value(round(c.lon, 6)), value(c.category),
+                      value(c.subcategory), value(c.gender), value(c.origin)))
     return count
 
 

@@ -55,10 +55,7 @@ def _min_support(text: str) -> int | float:
 
 
 def _support_list(text: str) -> list[int | float]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("need at least one support level")
-    return [_min_support(p.strip()) for p in parts]
+    return [_min_support(p.strip()) for p in text.split(",") if p.strip()]
 
 
 def _detect_format(path: str, explicit: str | None) -> str:

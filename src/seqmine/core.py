@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence as SequenceABC
 
 from .errors import EmptyElementError, UnknownLabelError
@@ -44,9 +45,16 @@ def _csv_line(fields: SequenceABC) -> str:
     return line + "\r\n"
 
 
-def _json_number(x) -> str:
-    """``json.dumps(x)``, where an int or a finite float is its repr."""
-    return repr(x) if type(x) is int or type(x) is float and x - x == 0.0 else json.dumps(x)
+def _json_value(x) -> str:
+    """``json.dumps(x)``: every JSON value ``seqmine`` writes comes from here,
+    as every CSV line comes from ``_csv_line``.  An exact str goes through the encoder
+    ``json.dumps`` itself calls, an exact int or finite float is its repr,
+    and anything else is ``json.dumps(x)``, which raises what it raises."""
+    if x.__class__ is str:
+        return encode_basestring_ascii(x)
+    if x.__class__ is int or x.__class__ is float and x - x == 0.0:
+        return repr(x)
+    return json.dumps(x)
 
 
 class Item(NamedTuple):

@@ -18,7 +18,6 @@ the report counts occurrences only where the search already found them.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from array import array
@@ -36,7 +35,7 @@ from .core import (
     _csv_line,
     _is_count,
     _is_subset,
-    _json_number,
+    _json_value,
     render_elements,
 )
 from .errors import InvalidConfigError
@@ -156,16 +155,17 @@ class PatternSet:
                                 str(p.support_count), f"{self.relative_support(p):.6f}")))
 
     def to_jsonl(self, fp: IO[str]) -> None:
-        """Per pattern, the line json.dumps writes for its record, from a template."""
+        """Per pattern, json.dumps' line for its record: ``core._json_value``s in a template."""
         line = '{"pattern": [%s], "support_count": %s, "relative_support": %s}\n'
-        texts: dict[Element, str] = {}  # each distinct element's label list, dumped once
+        texts: dict[Element, str] = {}  # each distinct element's label list, written once
         for p in self.patterns:
             for elem in p.sequence.elements:
                 if elem not in texts:
-                    texts[elem] = json.dumps([self.dictionary.decode(i) for i in elem])
+                    texts[elem] = "[" + ", ".join([_json_value(self.dictionary.decode(i))
+                                                   for i in elem]) + "]"
             fp.write(line % (", ".join([texts[e] for e in p.sequence.elements]),
-                             _json_number(p.support_count),
-                             _json_number(self.relative_support(p))))
+                             _json_value(p.support_count),
+                             _json_value(self.relative_support(p))))
 
 
 @dataclass(frozen=True)

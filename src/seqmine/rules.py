@@ -19,11 +19,10 @@ sequence, as ``pattern_frequency`` does for one pattern.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .core import (Sequence, SequenceDatabase, _csv_line, _is_count, _json_number, _match,
+from .core import (Sequence, SequenceDatabase, _csv_line, _is_count, _json_value, _match,
                    contains_subsequence)
 from .errors import InvalidConfigError, UndefinedConfidenceError
 from .prefixspan import Pattern, PatternSet
@@ -180,8 +179,8 @@ def write_report_csv(rows: Iterable[RuleRow], fp: IO[str]) -> None:
 
 
 def write_report_jsonl(rows: Iterable[RuleRow], fp: IO[str]) -> None:
-    """Per row, the line json.dumps writes for its four fields, from a template."""
+    """Per row, json.dumps' line for its four fields: ``core._json_value``s in a template."""
     line = '{"activity_sequence": %s, "frequency": %s, "support": %s, "confidence": %s}\n'
     for r in rows:
-        fp.write(line % (json.dumps(r.activity_sequence), _json_number(r.frequency),
-                         _json_number(r.support), _json_number(r.confidence)))
+        fp.write(line % (_json_value(r.activity_sequence), _json_value(r.frequency),
+                         _json_value(r.support), _json_value(r.confidence)))

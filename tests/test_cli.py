@@ -144,6 +144,25 @@ class TestMine:
             "report.jsonl": "d00689c14e9768b42d527935eaffb5aad61af46383b17b7d5589d35ba1c9e7a9",
         }
 
+    def test_click_stream_trip_bytes_are_pinned(self, tmp_path):
+        # The CI console-script step's `bps` run, and the same with SPAM:
+        # the all-patterns report over each miner's holders (116 rows)
+        source = tmp_path / "b.csv"
+        assert main(["generate", "--shape", "bms", "--users", "2000", "--seed", "7",
+                     "--out", str(source)]) == 0
+        for miner in ("prefixspan", "spam"):
+            out = tmp_path / miner
+            assert main(["mine", "--input", str(source), "--grouping", "trip",
+                         "--min-support", "0.002", "--miner", miner, "--out", str(out)]) == 0
+            digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                       for name in OUTPUTS}
+            assert digests == {
+                "patterns.csv": "b21be6f9006a0fe346f59ba6cbfc7506e7f63bb4c5250396c0a32c5dcf681086",
+                "patterns.jsonl": "c9da010ae70791e5c8bb37b1f621bf94a2619671744e8778656b8028023d6b74",
+                "report.csv": "3e3de84a1fca0d4f9ee78ecb24bf344a3391ee70adabc5c88c5e8d7e67d998b1",
+                "report.jsonl": "fa3d52d5130e71b36566ce1ff3400374d4eadd70b75c4a0d3c68344b2a46cebd",
+            }, miner
+
     def test_nul_in_an_activity_label(self, corpus_csv, tmp_path, capsys):
         # parse_config accepts the label; every writer must take it, on
         # every Python (3.10's csv.writer refused a field holding NUL)
@@ -465,8 +484,13 @@ class TestBench:
         assert code == 4
         assert "disagree" in capsys.readouterr().err
 
-    def test_empty_supports_is_usage_error(self, capsys):
+    def test_empty_supports_is_usage_error(self, capsys, monkeypatch):
+        def refused(cfg, seed):
+            raise AssertionError("bench generated data for a refused setting")
+
+        monkeypatch.setattr(cli, "generate_synthetic", refused)
         assert main(["bench", "--supports", ","]) == 2
+        assert capsys.readouterr().err == "error: need at least one support level\n"
 
     def test_settings_checked_before_data_is_generated(self, capsys, monkeypatch):
         def refused(cfg, seed):

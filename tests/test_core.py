@@ -1,8 +1,10 @@
 import csv
 import io
+import json
 import random
 import sys
 from datetime import datetime, timedelta, timezone
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from seqmine import (
     suffix,
 )
 from seqmine.checkins import CSV_HEADER
-from seqmine.core import _csv_line
+from seqmine.core import _csv_line, _json_value
 from conftest import long_sequences, short_patterns
 from oracle import contains as oracle_contains
 from oracle import random_db
@@ -310,3 +312,45 @@ class TestCsvLine:
         buf = io.StringIO()
         assert serialize_checkins(checkins, buf, "csv") == len(checkins)
         assert buf.getvalue() == expected
+
+
+class _Label(str):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10 ** 20
+
+
+class _Ratio(float):
+    pass
+
+
+# Escapes, control characters, DEL, a lone surrogate, and non-ASCII up to a
+# character past U+FFFF, which json.dumps writes as a surrogate pair
+JSON_SPECIAL = "\\/\"\x00\x1f\x7f\t\n \ud800é中😀"
+json_text = st.text(st.sampled_from(JSON_SPECIAL) | st.characters()
+                    | st.integers(0xD800, 0xDFFF).map(chr))
+json_values = st.one_of(
+    json_text, st.just(JSON_SPECIAL),
+    st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]),
+    st.none(),
+    json_text.map(_Label), st.sampled_from(_Level), st.floats().map(_Ratio),
+)
+
+
+class TestJsonValue:
+    @settings(max_examples=500, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json_value(value) == json.dumps(value)
+
+    def test_int_past_the_digit_limit_raises_as_json_dumps_does(self):
+        big = 10 ** 4999  # 5000 digits, past the default int-to-str limit
+        with pytest.raises(ValueError) as dumped:
+            json.dumps(big)
+        with pytest.raises(ValueError) as written:
+            _json_value(big)
+        assert str(written.value) == str(dumped.value)
