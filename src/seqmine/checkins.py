@@ -399,6 +399,7 @@ def apply_activity_map(
 
 
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
+_MINUTE = timedelta(minutes=1)
 
 
 def _parse_minute(text: str) -> int:
@@ -467,16 +468,27 @@ def segment_windows(
     """Bucket tagged check-ins into (user, window-name) groups by local time.
 
     A check-in's local time is its instant at tz's UTC offset at that
-    instant.  A check-in joins every window containing its local time
-    (windows may overlap; their bounds are read once per call); one outside
-    all windows joins no group.  Groups hold the input pairs, not copies.
+    instant.  When tz is a ``timezone`` of whole minutes, such as '+08:00',
+    a timestamp in ``timezone.utc`` (as every parsed or generated record's
+    is) gets its local minute as its UTC minute plus the offset; any other
+    zone or timestamp goes through ``astimezone``.  A check-in joins every
+    window containing its local time (windows may overlap; their bounds are
+    read once per call); one outside all windows joins no group.  Groups
+    hold the input pairs, not copies.
     """
     bounds = [(w.start_minute, w.end_minute, w.name) for w in windows]
+    offset = tz.utcoffset(None) if isinstance(tz, timezone) else None
+    shift = None if offset is None or offset % _MINUTE else offset // _MINUTE
+    utc = timezone.utc
     groups: Groups = {}
     for pair in tagged:
         c = pair[0]
-        local = c.timestamp.astimezone(tz)
-        minute = local.hour * 60 + local.minute
+        ts = c.timestamp
+        if shift is not None and ts.tzinfo is utc:
+            minute = (ts.hour * 60 + ts.minute + shift) % 1440
+        else:
+            local = ts.astimezone(tz)
+            minute = local.hour * 60 + local.minute
         for start, end, name in bounds:
             if start <= minute < end:
                 groups.setdefault((c.user_id, name), []).append(pair)
@@ -501,9 +513,11 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
 
     Within a group, check-ins sort by timestamp, and the activities of the
     check-ins at one instant form one element, so the order of check-ins
-    at the same instant does not matter.  Activities are encoded once per
-    database, from one dictionary of all the groups' activities.  Only an
-    element that another activity joins at its instant is sorted and
+    at the same instant does not matter.  A group is built in the order
+    given; only one with a check-in earlier than the one before it is
+    sorted (stably, by timestamp) and built again.  Activities are encoded
+    once per database, from one dictionary of all the groups' activities.
+    Only an element that another activity joins at its instant is sorted and
     deduplicated, so an activity's one-item elements are one shared tuple.
     A sequence is named ``user``, or ``user|window`` for a windowed group.
     The groups' pairs are read in place; none is copied.
@@ -515,14 +529,22 @@ def build_sequences(groups: Groups) -> SequenceDatabase:
     sequences = []
     seq_ids = []
     for user_id, window in sorted(groups, key=lambda k: (k[0], k[1] or "")):
-        elements: list[tuple[int, ...]] = []
-        instant = None
-        for c, activity in sorted(groups[(user_id, window)], key=lambda p: p[0].timestamp):
-            if c.timestamp != instant:
-                elements.append(single[activity])
-                instant = c.timestamp
-            elif single[activity][0] not in elements[-1]:
-                elements[-1] = tuple(sorted(elements[-1] + single[activity]))
+        records = groups[(user_id, window)]
+        while True:  # in the order given, then sorted if a record steps back in time
+            elements: list[tuple[int, ...]] = []
+            instant = None
+            for c, activity in records:
+                ts = c.timestamp
+                if ts != instant:
+                    if instant is not None and ts < instant:
+                        break
+                    elements.append(single[activity])
+                    instant = ts
+                elif single[activity][0] not in elements[-1]:
+                    elements[-1] = tuple(sorted(elements[-1] + single[activity]))
+            else:
+                break
+            records = sorted(records, key=lambda p: p[0].timestamp)
         sequences.append(Sequence(tuple(elements)))
         seq_ids.append(user_id if window is None else f"{user_id}|{window}")
     return SequenceDatabase(tuple(sequences), tuple(seq_ids), dictionary)

@@ -823,6 +823,40 @@ class TestSequenceAssembly:
         for elem in (e for seq in db.sequences for e in seq if len(e) == 1):
             assert shared.setdefault(elem, elem) is elem
 
+    def test_out_of_order_groups_build_as_sorted(self):
+        # A group is built in the order given until a record steps back in
+        # time; such a group is sorted and built again.  Each builds the
+        # elements of its sorted records.
+        base = datetime(2023, 5, 1, 8, tzinfo=timezone.utc)
+        cases = {
+            "last pair": [(0, "Dining"), (1, "Nature"), (3, "Shopping"), (2, "Zoo")],
+            "newest first": [(3, "Dining"), (2, "Nature"), (1, "Shopping"), (0, "Zoo")],
+            "equal runs": [(1, "Dining"), (1, "Zoo"), (2, "Nature"), (2, "Shopping"),
+                           (1, "Nature"), (1, "Dining"), (2, "Zoo"), (3, "Dining")],
+            "one pair": [(5, "Nature")],
+            "two pairs": [(5, "Nature"), (4, "Dining")],
+        }
+        groups = {
+            (user, None): [
+                (CheckIn(f"{user}{i}", user, base + timedelta(minutes=m), 1.3, 103.8, "Park"),
+                 activity)
+                for i, (m, activity) in enumerate(recs)
+            ]
+            for user, recs in cases.items()
+        }
+        in_order = {key: sorted(recs, key=lambda p: p[0].timestamp)
+                    for key, recs in groups.items()}
+        db = build_sequences(groups)
+        assert db == build_sequences(in_order)
+        assert dict(zip(db.seq_ids, decoded(db))) == {
+            "last pair": (("Dining",), ("Nature",), ("Zoo",), ("Shopping",)),
+            "newest first": (("Zoo",), ("Shopping",), ("Nature",), ("Dining",)),
+            "equal runs": (("Dining", "Nature", "Zoo"), ("Nature", "Shopping", "Zoo"),
+                           ("Dining",)),
+            "one pair": (("Nature",),),
+            "two pairs": (("Dining",), ("Nature",)),
+        }
+
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -163,6 +163,24 @@ class TestMine:
                 "report.jsonl": "fa3d52d5130e71b36566ce1ff3400374d4eadd70b75c4a0d3c68344b2a46cebd",
             }, miner
 
+    @pytest.mark.parametrize("zones", [
+        ("+08:00", "Asia/Singapore"),
+        ("UTC", "+00:00", "Etc/UTC"),
+    ], ids=["singapore", "utc"])
+    def test_fixed_offset_and_named_zone_write_the_same_bytes(self, tmp_path, zones):
+        # A fixed offset gives a UTC record's local minute by arithmetic and
+        # an IANA zone through astimezone; both must window alike.  This is
+        # the CI console-script step's `same p8 sg`.
+        source = tmp_path / "c.csv"
+        assert main(["generate", "--users", "200", "--seed", "7", "--out", str(source)]) == 0
+        written = []
+        for i, zone in enumerate(zones):
+            out = tmp_path / f"out{i}"
+            assert main(["mine", "--input", str(source), f"--tz={zone}", "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in OUTPUTS])
+        assert written[0][0].count(b"\n") > 1
+        assert all(files == written[0] for files in written), zones
+
     def test_nul_in_an_activity_label(self, corpus_csv, tmp_path, capsys):
         # parse_config accepts the label; every writer must take it, on
         # every Python (3.10's csv.writer refused a field holding NUL)
